@@ -42,6 +42,9 @@ from .exact_depth import (
     move_joint_pmf,
     poisson_bound_report,
     rank_to_key,
+    _check_mixpo_args,
+    _mixpo_distance_of,
+    _poisson_bound_of,
 )
 from .mixing import (
     DiscreteMeasure,
@@ -142,8 +145,11 @@ def cmd_approx(args, out) -> int:
     mean = depth_mean(args.n, l)
     doc["mean"] = mean
     doc["variance"] = depth_variance(args.n, l)
+    exact = None
     if args.n >= 2:
-        rep = poisson_bound_report(args.n, l, n_cap=args.cap)
+        # One exact law serves both reports; with --t, l is the mixpo key.
+        exact = exact_depth_pmf(args.n, l, n_cap=args.cap)
+        rep = _poisson_bound_of(exact, args.n, l)
         doc["poisson"] = {
             "d_tv": rep.lhs,
             "bound": rep.rhs,
@@ -151,7 +157,8 @@ def cmd_approx(args, out) -> int:
             "margin": rep.margin,
         }
     if args.t is not None:
-        d, scaled = mixpo_distance(args.n, args.t, n_cap=args.cap)
+        _check_mixpo_args(args.n, args.t)
+        d, scaled = _mixpo_distance_of(exact, args.n, args.t)
         doc["mixpo"] = {
             "t": args.t,
             "shift": limit_mixing_measure(args.n, args.t).c,

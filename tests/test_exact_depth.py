@@ -1,19 +1,25 @@
 """Exact depth law: grid, pmf, moments, bounds and the enumeration oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from depthlab.distributions import (
+    Pmf,
     mean_var,
     record_count_pmf,
     total_variation,
 )
 from depthlab.exact_depth import (
+    _JD_BLOCK_ROWS,
     BRUTE_FORCE_CAP,
     CapExceededError,
+    _jd_blocks,
     brute_force_depth_pmf,
     depth_mean,
     depth_variance,
@@ -67,6 +73,92 @@ def test_joint_domain():
         predecessor_joint(3, 0)
     with pytest.raises(ValueError):
         predecessor_joint(3, 4)
+
+
+# ------------------------------------------------------------ dense oracle
+#
+# The full grid by the log-ratio recurrence along each row, every cell kept:
+# an independent route to the same law as the banded closed-form kernel.
+
+
+def _dense_joint(n, l):
+    i = np.arange(l)[:, None]
+    j = np.arange(n - l)[None, :]
+    lt = np.log(np.maximum(np.arange(n + 1.0), 1.0))
+    start = -math.log(n) + gammaln(n - i) - gammaln(l - i) - gammaln(n) + gammaln(l)
+    log_ratio = lt[i + j + 1] + lt[n - l - j] - lt[j + 1] - lt[n - 1 - i - j]
+    w = np.exp(np.hstack((start, start + np.cumsum(log_ratio, axis=1))))
+    return w * ((1.0 / l) / w.sum(axis=1, keepdims=True))
+
+
+@lru_cache(maxsize=1)
+def _record_rows(m_max=16384, k=64):
+    # rows[m] = law of the record count of m keys: Bernoulli(1/i) sums.
+    rows = np.zeros((m_max + 1, k))
+    rows[0, 0] = 1.0
+    for m in range(1, m_max + 1):
+        rows[m] = rows[m - 1] * (1.0 - 1.0 / m)
+        rows[m, 1:] += rows[m - 1, :-1] / m
+    return rows
+
+
+def _dense_depth_pmf(n, l):
+    rec = _record_rows()
+    grid = rec[:l].T @ _dense_joint(n, l) @ rec[: n - l + 1]
+    k = grid.shape[0]
+    diag = np.add.outer(np.arange(k), np.arange(k)).ravel()
+    return Pmf.from_masses(0, np.bincount(diag, weights=grid.ravel()))
+
+
+def _oracle_keys(n):
+    return sorted({l for l in (1, 2, -(-n // 4), -(-n // 2), n - 1, n) if 1 <= l <= n})
+
+
+def test_exact_matches_dense_oracle():
+    cases = [(n, l) for n in (1, 2, 3, 10, 257, 1000, 3000) for l in _oracle_keys(n)]
+    # At l = 100 one block's modes span more than the whole row width.
+    for n, l in cases + [(16384, 100)]:
+        d = total_variation(exact_depth_pmf(n, l), _dense_depth_pmf(n, l))
+        assert float(d) < 1e-12, (n, l, float(d))
+
+
+def test_booked_tail_covers_out_of_band_mass():
+    cases = [(257, l) for l in range(1, 258, 16)]
+    cases += [(3000, 750), (3000, 1500), (16384, 100)]
+    for n, l in cases:
+        dense = _dense_joint(n, l)
+        outside = 0.0
+        for i0, jlo, w, tail in _jd_blocks(n, l):
+            rows = dense[i0 : i0 + w.shape[0]]
+            row_out = rows[:, :jlo].sum(axis=1) + rows[:, jlo + w.shape[1] :].sum(axis=1)
+            assert np.all(tail >= row_out), (n, l, i0)
+            outside += float(row_out.sum())
+        assert exact_depth_pmf(n, l).truncated_tail >= outside, (n, l)
+        assert move_joint_pmf(n, l).truncated_tail >= outside, (n, l)
+
+
+def test_extreme_keys_at_large_n_are_shifted_record_laws():
+    # A single-column grid (l = n) and a single-row grid (l = 1) carry no
+    # truncation, so their booked tails stay at record-law dust.
+    n = 16384
+    rec = record_count_pmf(n).shifted(-1)
+    for l in (1, n):
+        p = exact_depth_pmf(n, l)
+        assert float(total_variation(p, rec)) < 1e-13, l
+        assert p.truncated_tail < 1e-20, l
+
+
+def test_mixing_variance_report_streams_banded_blocks():
+    n, l = 4096, 2048
+    mixing_variance_report(n, l)  # fill the table caches outside the trace
+    tracemalloc.start()
+    try:
+        mixing_variance_report(n, l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Below one dense block of rows; the full location grid is 33.6 MB.
+    assert peak < _JD_BLOCK_ROWS * (n - l + 1) * 8
 
 
 # ------------------------------------------------------------ exact pmf
