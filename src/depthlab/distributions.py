@@ -272,6 +272,13 @@ def convolve(p: Pmf, q: Pmf) -> Pmf:
     return Pmf.from_masses(p.offset + q.offset, masses, tail)
 
 
+def _validate_nl(n: int, l: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= l <= n:
+        raise ValueError(f"l must be in 1..{n}, got {l}")
+
+
 def _validate_tol(tol: float) -> None:
     if not 0.0 < tol <= 1e-9:
         raise ValueError(f"tol must be in (0, 1e-9], got {tol}")

@@ -37,8 +37,10 @@ from .distributions import (
     shared_harmonic_table,
     total_variation,
     wasserstein,
+    _validate_nl,
 )
 from .mixing import limit_mixing_measure, mixed_poisson_pmf
+from .trees import _insert_keys
 
 __all__ = [
     "CapExceededError",
@@ -82,13 +84,6 @@ class CapExceededError(Exception):
         super().__init__(f"{what}: n={n} exceeds the cap {cap}")
         self.n = n
         self.cap = cap
-
-
-def _validate_nl(n: int, l: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= l <= n:
-        raise ValueError(f"l must be in 1..{n}, got {l}")
 
 
 @dataclass(frozen=True)
@@ -459,32 +454,9 @@ def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
 def _brute_depth_counts(n: int) -> tuple[tuple[int, ...], ...]:
     """counts[l-1][d] = number of permutations of 1..n whose tree puts l at depth d."""
     counts = [[0] * n for _ in range(n)]
-    keys = range(1, n + 1)
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    for perm in _all_permutations(keys):
-        root = perm[0]
-        for v in perm[1:]:
-            node = root
-            d = 0
-            while True:
-                d += 1
-                if v < node:
-                    nxt = left[node]
-                    if nxt == 0:
-                        left[node] = v
-                        break
-                else:
-                    nxt = right[node]
-                    if nxt == 0:
-                        right[node] = v
-                        break
-                node = nxt
-            counts[v - 1][d] += 1
-        counts[root - 1][0] += 1
-        for v in keys:
-            left[v] = 0
-            right[v] = 0
+    for perm in _all_permutations(range(1, n + 1)):
+        for v, d in enumerate(_insert_keys(perm)[2][1:]):
+            counts[v][d] += 1
     return tuple(tuple(row) for row in counts)
 
 

@@ -1,26 +1,29 @@
 """Seeded random generation and independent sampling routes for node depths.
 
-Three routes produce depth samples: building an actual tree, drawing from the
-two-stage position/record representation, and counting quickselect
-recursions.  They agree in distribution, which the test suite exploits for
-cross-validation against the exact law.
+Three routes produce depth samples of key l: building an actual tree,
+drawing from the two-stage position/record representation, and counting
+quickselect recursions; key samples a uniformly random key's depth through
+the representation.  They agree in distribution, which the test suite
+exploits for cross-validation against the exact law; no route reads it.
 
-Reproducibility contract: a stream is identified by (seed, stream_id) and
-always replays the same draws.  Streams are not shared between threads; a
-parallel run assigns one stream per worker and reduces in stream order, so
-aggregates do not depend on scheduling.
+Each stream's quota is drawn in numpy chunks of about _CHUNK_CELLS array
+cells, a few MiB at any n: _CHUNK_CELLS // n permutation rows on bst and
+find, _CHUNK_CELLS // 16 draws on representation and key; single-sample
+functions draw a chunk of one.  Batching changed the draw sequences once.
+A stream, identified by (seed, stream_id), always replays the same draws, so
+collect_samples is a pure function of (route, n, l, count, seed, streams); a
+parallel run gives each worker one stream and reduces in stream order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pmf
-from .trees import Permutation, build_bst, find_select, node_depth
+from .distributions import Pmf, _validate_nl
+from .trees import Permutation, _insert_keys
 
 __all__ = [
     "RngStream",
@@ -33,6 +36,9 @@ __all__ = [
     "empirical_pmf",
     "collect_samples",
 ]
+
+# Array cells per chunk; fixed, so draws depend on collect_samples' arguments alone.
+_CHUNK_CELLS = 1 << 18
 
 @dataclass
 class RngStream:
@@ -52,90 +58,115 @@ class RngStream:
 
 def random_permutation(n: int, rng: RngStream) -> Permutation:
     """Uniform random permutation of 1..n (Fisher-Yates with unbiased bounded ints)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _validate_nl(n, 1)
     values = rng.generator.permutation(n) + 1
     return Permutation(tuple(int(v) for v in values))
 
 
+def _permutation_rows(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """rows independent uniform permutations of 1..n, one per row."""
+    perms = np.tile(np.arange(1, n + 1, dtype=np.min_scalar_type(n)), (rows, 1))
+    return gen.permuted(perms, axis=1, out=perms)
+
+
+def _bst_depths(perms: np.ndarray, l: int) -> np.ndarray:
+    """Depth of key l in the tree built from each row: a literal build, up to l."""
+    return np.array([_insert_keys(row.tolist(), stop=l)[2][l] for row in perms])
+
+
+def _find_recursions(perms: np.ndarray, l: int) -> np.ndarray:
+    """Quickselect recursion count at rank l for every row at once.
+
+    alive marks each row's current sublist; its first alive entry is the pivot.
+    """
+    out = np.empty(perms.shape[0], dtype=np.int64)
+    todo = np.arange(perms.shape[0])
+    alive = np.ones(perms.shape, dtype=bool)
+    rank = np.full(todo.size, l)
+    recursions = 0
+    while todo.size:
+        pivot = perms[np.arange(todo.size), alive.argmax(axis=1)][:, None]
+        smaller = alive & (perms < pivot)
+        k = smaller.sum(axis=1)
+        hit = k == rank - 1
+        out[todo[hit]] = recursions
+        todo, perms, alive, smaller, pivot, k, rank = (
+            a[~hit] for a in (todo, perms, alive, smaller, pivot, k, rank))
+        lower = k >= rank
+        alive = np.where(lower[:, None], smaller, alive & (perms > pivot))
+        rank = np.where(lower, rank, rank - 1 - k)
+        recursions += 1
+    return out
+
+
+def _record_counts(m: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One record count, sum_{i=1..m} Bernoulli(1/i), per entry of m.
+
+    After a record at time t the next comes after s >= t with probability
+    t/s, so at floor(t/U) + 1 for U uniform on (0, 1]: O(log m) uniforms.
+    """
+    counts = (m >= 1).astype(np.int64)
+    idx = np.flatnonzero(m > 1)
+    t = np.ones(idx.size)
+    while idx.size:
+        t = np.floor(t / (1.0 - gen.random(idx.size))) + 1.0
+        placed = t <= m[idx]
+        idx, t = idx[placed], t[placed]
+        counts[idx] += 1
+    return counts
+
+
+def _predecessor_split(n: int, keys: np.ndarray, positions: np.ndarray, gen) -> np.ndarray:
+    """Smaller keys among each key's position - 1 predecessors (hypergeometric)."""
+    return gen.hypergeometric(keys - 1, n - keys, positions - 1)
+
+
+def _representation_depths(n: int, keys: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """Depth of each key: records of its smaller plus its larger predecessors."""
+    positions = gen.integers(1, n + 1, size=keys.size)
+    smaller = _predecessor_split(n, keys, positions, gen)
+    records = _record_counts(np.concatenate((smaller, positions - 1 - smaller)), gen)
+    return records[: keys.size] + records[keys.size :]
+
+
+def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generator) -> list[int]:
+    """count samples on the named route from one generator, chunk by chunk."""
+    if route not in ("bst", "representation", "find", "key"):
+        raise ValueError(f"unknown route {route!r}")
+    _validate_nl(n, 1 if route == "key" else l)
+    # A permutation row holds n cells, a representation draw's arrays about 16.
+    chunk = max(1, _CHUNK_CELLS // (n if route in ("bst", "find") else 16))
+    out: list[int] = []
+    for start in range(0, count, chunk):
+        rows = min(chunk, count - start)
+        if route in ("bst", "find"):
+            perms = _permutation_rows(n, rows, gen)
+            batch = _bst_depths(perms, l) if route == "bst" else _find_recursions(perms, l)
+        else:
+            keys = np.full(rows, l) if route == "representation" else gen.integers(1, n + 1, rows)
+            batch = _representation_depths(n, keys, gen)
+        out.extend(batch.tolist())
+    return out
+
+
 def sample_depth_bst(n: int, l: int, rng: RngStream) -> int:
     """Route A: insert a random permutation into a tree and read off the depth."""
-    _check_nl(n, l)
-    return node_depth(build_bst(random_permutation(n, rng)), l)
-
-
-@lru_cache(maxsize=2048)
-def _hypergeom_cdf(N: int, M: int, draws: int) -> tuple[int, np.ndarray]:
-    """Support start and cdf of the hypergeometric count of white balls.
-
-    Masses come from the ratio recurrence normalized at the end, which is
-    exact up to rounding; sampling inverts this cdf directly, no rejection.
-    """
-    k_lo = max(0, draws - (N - M))
-    k_hi = min(draws, M)
-    ks = np.arange(k_lo, k_hi)
-    # Log-space recurrence anchored at the mode: the ratio of the modal mass
-    # to the edge mass overflows binary64 once the support is a few hundred
-    # points wide.  Denominator factors stay >= 1 on the admissible support.
-    log_ratios = np.log((M - ks) * (draws - ks)) - np.log(
-        (ks + 1.0) * (N - M - draws + ks + 1.0)
-    )
-    log_rel = np.concatenate(([0.0], np.cumsum(log_ratios)))
-    rel = np.exp(log_rel - log_rel.max())
-    cdf = np.cumsum(rel / rel.sum())
-    cdf.flags.writeable = False
-    return k_lo, cdf
-
-
-def _draw_hypergeom(N: int, M: int, draws: int, gen: np.random.Generator) -> int:
-    if M == 0 or draws == 0:
-        return 0
-    k_lo, cdf = _hypergeom_cdf(N, M, draws)
-    u = gen.random()
-    return k_lo + int(np.searchsorted(cdf, u, side="left"))
-
-
-def _bernoulli_harmonic_sum(m: int, gen: np.random.Generator) -> int:
-    """Draw of sum_{i=1..m} Bernoulli(1/i)."""
-    if m <= 0:
-        return 0
-    u = gen.random(m)
-    return int((u * np.arange(1, m + 1) < 1.0).sum())
+    return _draw("bst", n, l, 1, rng.generator)[0]
 
 
 def sample_depth_representation(n: int, l: int, rng: RngStream) -> int:
     """Route B: position uniform, split hypergeometric, two Bernoulli sums."""
-    _check_nl(n, l)
-    gen = rng.generator
-    position = int(gen.integers(1, n + 1))
-    g = _draw_hypergeom(n - 1, l - 1, position - 1, gen)
-    return _bernoulli_harmonic_sum(g, gen) + _bernoulli_harmonic_sum(
-        position - 1 - g, gen
-    )
+    return _draw("representation", n, l, 1, rng.generator)[0]
 
 
 def sample_find_recursions(n: int, l: int, rng: RngStream) -> int:
     """Route C: recursion count of quickselect at rank l on a random permutation."""
-    _check_nl(n, l)
-    return find_select(random_permutation(n, rng), l).recursions
+    return _draw("find", n, l, 1, rng.generator)[0]
 
 
 def sample_random_key_depth(n: int, rng: RngStream) -> int:
-    """Depth of a uniformly random key, the key drawn independently of the tree.
-
-    Uses the representation route internally so the cost per sample is O(n)
-    rather than the O(n log n) tree build; the routes agree in distribution
-    and the agreement is itself under test.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    gen = rng.generator
-    key = int(gen.integers(1, n + 1))
-    position = int(gen.integers(1, n + 1))
-    g = _draw_hypergeom(n - 1, key - 1, position - 1, gen)
-    return _bernoulli_harmonic_sum(g, gen) + _bernoulli_harmonic_sum(
-        position - 1 - g, gen
-    )
+    """Depth of a uniformly random key, drawn through the representation route."""
+    return _draw("key", n, None, 1, rng.generator)[0]
 
 
 @dataclass(frozen=True)
@@ -188,24 +219,5 @@ def collect_samples(
     base, extra = divmod(count, streams)
     for sid in range(streams):
         quota = base + (1 if sid < extra else 0)
-        if quota == 0:
-            continue
-        rng = RngStream(seed=seed, stream_id=sid)
-        if route == "bst":
-            out.extend(sample_depth_bst(n, l, rng) for _ in range(quota))
-        elif route == "representation":
-            out.extend(sample_depth_representation(n, l, rng) for _ in range(quota))
-        elif route == "find":
-            out.extend(sample_find_recursions(n, l, rng) for _ in range(quota))
-        elif route == "key":
-            out.extend(sample_random_key_depth(n, rng) for _ in range(quota))
-        else:
-            raise ValueError(f"unknown route {route!r}")
+        out.extend(_draw(route, n, l, quota, RngStream(seed, sid).generator))
     return out
-
-
-def _check_nl(n: int, l: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= l <= n:
-        raise ValueError(f"l must be in 1..{n}, got {l}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .distributions import _validate_nl
+
 __all__ = [
     "Permutation",
     "Bst",
@@ -63,13 +65,15 @@ class Bst:
     insertion_order: tuple[int, ...]
 
 
-def build_bst(perm: Permutation) -> Bst:
-    """Insert the permutation values left-to-right by the usual search-tree rule."""
-    n = len(perm)
+def _insert_keys(values: Sequence[int], stop: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """Left, right and depth lists by key of the tree built from values in order.
+
+    Stops after placing key stop below the root.  values is unvalidated, for hot loops.
+    """
+    n = len(values)
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     depth = [0] * (n + 1)
-    values = perm.values
     root = values[0]
     for v in values[1:]:
         node = root
@@ -88,13 +92,21 @@ def build_bst(perm: Permutation) -> Bst:
                     break
             node = nxt
         depth[v] = d
+        if v == stop:
+            break
+    return left, right, depth
+
+
+def build_bst(perm: Permutation) -> Bst:
+    """Insert the permutation values left-to-right by the usual search-tree rule."""
+    left, right, depth = _insert_keys(perm.values)
     return Bst(
-        n=n,
-        root=root,
+        n=len(perm),
+        root=perm.values[0],
         left=tuple(left),
         right=tuple(right),
         depth_of=tuple(depth),
-        insertion_order=values,
+        insertion_order=perm.values,
     )
 
 
@@ -114,8 +126,7 @@ def node_depth(bst: Bst, l: int) -> int:
 
 def depth_plot(perm: Permutation) -> list[int]:
     """Depths of keys 1..n in the tree built from the permutation."""
-    bst = build_bst(perm)
-    return [bst.depth_of[l] for l in range(1, bst.n + 1)]
+    return _insert_keys(perm.values)[2][1:]
 
 
 def ascending_record_count(seq: Sequence[int]) -> int:
@@ -159,8 +170,7 @@ class RecordDecomposition:
 
 
 def record_decomposition(perm: Permutation, l: int) -> RecordDecomposition:
-    if not 1 <= l <= len(perm):
-        raise ValueError(f"l must be in 1..{len(perm)}, got {l}")
+    _validate_nl(len(perm), l)
     values = perm.values
     pos = values.index(l) + 1
     s_minus = tuple(i for i in range(1, pos) if values[i - 1] < l)
@@ -199,8 +209,7 @@ def find_select(perm: Permutation, l: int) -> FindTrace:
     and iterates instead of recursing to keep the stack flat on adversarial
     inputs.
     """
-    if not 1 <= l <= len(perm):
-        raise ValueError(f"l must be in 1..{len(perm)}, got {l}")
+    _validate_nl(len(perm), l)
     items = list(perm.values)
     rank = l
     pivots: list[int] = []

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from depthlab.distributions import Pmf, total_variation
-from depthlab.exact_depth import exact_depth_pmf
+from depthlab.distributions import Pmf, record_count_pmf, total_variation
+from depthlab.exact_depth import brute_force_depth_pmf, exact_depth_pmf
 from depthlab.montecarlo import (
+    _CHUNK_CELLS,
     EmpiricalPmf,
     RngStream,
-    _hypergeom_cdf,
+    _bst_depths,
+    _find_recursions,
+    _permutation_rows,
+    _predecessor_split,
+    _record_counts,
     collect_samples,
     empirical_pmf,
     random_permutation,
@@ -20,6 +25,7 @@ from depthlab.montecarlo import (
     sample_find_recursions,
     sample_random_key_depth,
 )
+from depthlab.trees import Permutation, build_bst, find_select, node_depth
 
 
 def test_stream_determinism():
@@ -59,23 +65,78 @@ def test_random_permutation_uniform_chi_square():
 
 
 def test_hypergeometric_sampler_pmf_and_chi_square():
-    # Inverse-transform table equals the scipy pmf, and sampled frequencies
-    # pass chi-square at 1e-3 over a grid of small parameter triples.
+    # The vectorized split draw for key M + 1 at position draws + 1 among
+    # N + 1 keys stays on the hypergeometric support, and its frequencies
+    # pass chi-square against the scipy pmf at 1e-3 over small triples.
     gen = RngStream(seed=7).generator
     for N, M, draws in ((10, 4, 5), (12, 6, 3), (9, 2, 7), (30, 15, 10)):
-        k_lo, cdf = _hypergeom_cdf(N, M, draws)
-        pmf = np.diff(np.concatenate(([0.0], cdf)))
-        ks = np.arange(k_lo, k_lo + len(pmf))
-        np.testing.assert_allclose(pmf, stats.hypergeom.pmf(ks, N, M, draws), atol=1e-12)
-
         draws_n = 20_000
-        us = gen.random(draws_n)
-        samples = k_lo + np.searchsorted(cdf, us, side="left")
+        samples = _predecessor_split(
+            N + 1, np.full(draws_n, M + 1), np.full(draws_n, draws + 1), gen
+        )
+        k_lo, k_hi = max(0, draws - (N - M)), min(draws, M)
+        assert k_lo <= samples.min() and samples.max() <= k_hi
+        pmf = stats.hypergeom.pmf(np.arange(k_lo, k_hi + 1), N, M, draws)
         observed = np.bincount(samples - k_lo, minlength=len(pmf))
         keep = pmf * draws_n >= 5
         if keep.sum() >= 2:
             _, pvalue = stats.chisquare(observed[keep], pmf[keep] / pmf[keep].sum() * observed[keep].sum())
             assert pvalue > 1e-3
+
+
+def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
+    # On the same permutation rows, the batched bst route equals a full tree
+    # build and the batched find route equals scalar quickselect, row by row.
+    for n, l in ((1, 1), (2, 1), (2, 2), (7, 1), (7, 4), (7, 7), (60, 1), (60, 23), (60, 60)):
+        perms = _permutation_rows(n, 300, RngStream(seed=100 * n + l).generator)
+        rows = [Permutation.from_iterable(row) for row in perms]
+        depths = [node_depth(build_bst(p), l) for p in rows]
+        assert _bst_depths(perms, l).tolist() == depths, (n, l)
+        assert _find_recursions(perms, l).tolist() == [find_select(p, l).recursions for p in rows]
+
+
+def test_record_skip_sum_matches_record_count_law():
+    # m = 0 and m = 1 are exact.  For m = 2 and 50, d_TV of K draws to the
+    # record law stays below E d_TV <= sum_k sqrt(p_k) / (2 sqrt K) plus the
+    # McDiarmid deviation sqrt(ln(1e9) / (2K)), failure probability 1e-9.
+    # The m values are interleaved in one call to exercise per-entry indexing.
+    K = 100_000
+    ms = (0, 1, 2, 50)
+    counts = _record_counts(np.tile(ms, K), RngStream(seed=404).generator)
+    assert np.all(counts[0::4] == 0) and np.all(counts[1::4] == 1)
+    for i, m in enumerate(ms[2:], start=2):
+        exact = record_count_pmf(m)
+        bound = np.sqrt(exact.masses).sum() / (2 * math.sqrt(K)) + math.sqrt(
+            math.log(1e9) / (2 * K)
+        )
+        d = total_variation(empirical_pmf(counts[i::4].tolist()), exact)
+        assert float(d) < bound, (m, float(d), bound)
+
+
+def test_collect_samples_deterministic_across_chunk_boundaries():
+    n, l = 1024, 300
+    for route in ("bst", "find", "representation", "key"):
+        chunk = _CHUNK_CELLS // (n if route in ("bst", "find") else 16)
+        cases = [(chunk - 1, 1), (chunk, 1), (chunk + 1, 1), (2 * chunk + 1, 2), (2 * chunk + 1, 3)]
+        for count, streams in cases:
+            a = collect_samples(route, n, l, count, seed=21, streams=streams)
+            assert a == collect_samples(route, n, l, count, seed=21, streams=streams)
+            assert len(a) == count and all(type(x) is int and 0 <= x < n for x in a)
+
+
+def test_key_route_matches_brute_force_random_key_law():
+    # The random-key law is the per-key average of the enumerated laws; the
+    # sample cdf stays within the DKW-Massart bound at failure probability 1e-9.
+    K, delta = 100_000, 1e-9
+    eps = math.sqrt(math.log(2.0 / delta) / (2.0 * K))
+    for n in (2, 5, 8):
+        law = np.zeros(n)
+        for l in range(1, n + 1):
+            p = brute_force_depth_pmf(n, l)
+            law[p.offset : p.offset + len(p.masses)] += p.masses / n
+        counts = np.bincount(collect_samples("key", n, None, K, seed=8 + n), minlength=n)
+        gap = float(np.abs(np.cumsum(counts) / K - np.cumsum(law)).max())
+        assert gap <= eps, (n, gap, eps)
 
 
 def test_sample_routes_trivial_cases():
