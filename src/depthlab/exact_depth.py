@@ -346,10 +346,6 @@ def depth_variance(n: int, l: int, h: HarmonicTable | None = None) -> float:
     )
 
 
-def _log_comb(n, k):
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
 # Explicit constant in the total-variation Poisson approximation bound.
 POISSON_BOUND_CONSTANT = 28.0 + math.pi**2
 
@@ -439,8 +435,10 @@ def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
     k_lo = max(0, n - (N - M))
     k_hi = min(n, M)
     ks = np.arange(k_lo, k_hi + 1)
+    lf = _ln_table(N)
     pmf = np.exp(
-        _log_comb(M, ks) + _log_comb(N - M, n - ks) - _log_comb(N, n)
+        (lf[M] - lf[ks] - lf[M - ks]) + (lf[N - M] - lf[n - ks] - lf[N - M - n + ks])
+        - (lf[N] - lf[n] - lf[N - n])
     )
     positive = ks >= 1
     lhs = math.fsum(

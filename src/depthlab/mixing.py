@@ -14,13 +14,13 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .distributions import (
     DEFAULT_TAIL_TOL,
     HarmonicTable,
     Pmf,
+    _poisson_support,
     _validate_tol,
     shared_harmonic_table,
 )
@@ -227,30 +227,24 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     Poisson pmfs.  For the reflected-exponential measure the density part is
     integrated with adaptive Gauss-Legendre panels, bisected until each mass
     point is stable below tol/10; the atom at 0 contributes e^(-c/2) to the
-    mass at 0.  The support is cut where the tail certified by the dominating
-    Poisson(rate upper bound) drops below tol.
+    mass at 0.  The support is cut where the tail of the dominating
+    Poisson(rate upper bound), pdtrc from scipy.special, drops below tol.
     """
     _validate_tol(tol)
     if isinstance(measure, DiscreteMeasure):
         lam_max = float(measure.locations[-1])
         if lam_max == 0.0:
             return Pmf.delta(0)
-        k_max = int(stats.poisson.isf(tol, lam_max))
-        while stats.poisson.sf(k_max, lam_max) >= tol:
-            k_max += 1
+        k_max = _poisson_support(lam_max, tol)
         kern = _poisson_kernel(measure.locations, k_max)
         masses = measure.weights @ kern
-        tail = float(
-            np.dot(measure.weights, stats.poisson.sf(k_max, measure.locations))
-        )
+        tail = float(np.dot(measure.weights, pdtrc(k_max, measure.locations)))
         return Pmf.from_masses(0, masses, tail)
 
     if measure.degenerate:
         return Pmf.delta(0)
     c = measure.c
-    k_max = int(stats.poisson.isf(tol, c))
-    while stats.poisson.sf(k_max, c) >= tol:
-        k_max += 1
+    k_max = _poisson_support(c, tol)
     masses = _adaptive_gl(c, 0.0, c, k_max, tol / 10.0)
     masses[0] += measure.atom_at_zero
     total = math.fsum(masses.tolist())

@@ -1,15 +1,22 @@
 """Pmf arithmetic, harmonic tables, record laws and metric properties."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import depthlab
 from depthlab.distributions import (
     BoundReport,
     Pmf,
+    _poisson_support,
     convolve,
     harmonic_table,
     ks_to_standard_normal,
@@ -197,6 +204,45 @@ def test_poisson_values():
     p = poisson_pmf(7.5, tol=1e-10)
     assert p.truncated_tail < 1e-10
     assert abs(math.fsum(p.masses.tolist()) + p.truncated_tail - 1.0) < 1e-12
+
+
+def scipy_stats_poisson_support(lam, tol):
+    """Oracle: the scipy.stats inverse survival function, then a walk up to tail < tol."""
+    k_max = int(stats.poisson.isf(tol, lam))
+    while stats.poisson.sf(k_max, lam) >= tol:
+        k_max += 1
+    return k_max
+
+
+def test_poisson_pmf_equals_scipy_stats_oracle():
+    for lam in (1e-9, 0.3, math.log(2), 7.5, 20.0, 500.0):
+        for tol in (1e-9, 1e-12, 1e-15):
+            k_max = scipy_stats_poisson_support(lam, tol)
+            assert _poisson_support(lam, tol) == k_max, (lam, tol)
+            ref = Pmf.from_masses(
+                0,
+                stats.poisson.pmf(np.arange(k_max + 1), lam),
+                float(stats.poisson.sf(k_max, lam)),
+            )
+            p = poisson_pmf(lam, tol)
+            assert p.offset == ref.offset and p.support_max == ref.support_max, (lam, tol)
+            assert np.array_equal(p.masses, ref.masses), (lam, tol)
+            assert p.truncated_tail == ref.truncated_tail, (lam, tol)
+
+
+def test_import_does_not_load_scipy_stats():
+    # A fresh interpreter that imports this same depthlab: scipy.stats alone
+    # costs about a second of import time.
+    src = str(Path(depthlab.__file__).resolve().parents[1])
+    code = "import sys, depthlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_poisson_domain_errors():

@@ -1,12 +1,15 @@
 """Exact depth law: grid, pmf, moments, bounds and the enumeration oracle."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.special import gammaln
 
 from depthlab.distributions import (
@@ -339,6 +342,37 @@ def test_mixing_variance_examples():
     assert rep.lhs == pytest.approx(2 / 3, abs=1e-12) and rep.holds
     rep = mixing_variance_report(300, 150)
     assert rep.holds
+
+
+def mpmath_mixing_variance(n, l, dps=40):
+    """Oracle: variance of H_I + H_J under the hypergeometric form of the
+    predecessor joint, P(I=i, J=j) = C(l-1, i) C(n-l, j) / (n C(n-1, i+j)),
+    in dps-digit arithmetic.  Returns (total weight, variance)."""
+    with mp.workdps(dps):
+        H = [mpf(0)]
+        for k in range(1, n + 1):
+            H.append(H[-1] + mpf(1) / k)
+        a = [math.comb(l - 1, i) for i in range(l)]
+        b = [math.comb(n - l, j) for j in range(n - l + 1)]
+        c = [n * math.comb(n - 1, s) for s in range(n)]
+        total = mean = second = mpf(0)
+        for i in range(l):
+            for j in range(n - l + 1):
+                w = mpf(a[i] * b[j]) / c[i + j]
+                x = H[i] + H[j]
+                total += w
+                mean += w * x
+                second += w * x * x
+        return total, second - mean * mean
+
+
+def test_mixing_variance_matches_mpmath_at_baseline_point():
+    baseline = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
+    n, l = baseline["mixing_variance_max"]["at"]
+    total, var = mpmath_mixing_variance(n, l)
+    assert abs(total - 1) < 1e-30
+    assert abs(mixing_variance_report(n, l).lhs - float(var)) < 1e-12
+    assert abs(baseline["mixing_variance_max"]["value"] - float(var)) < 1e-15
 
 
 # ------------------------------------------------------------ hypergeometric bound

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import gammainc
 
-from depthlab.distributions import mean_var, poisson_pmf, total_variation, wasserstein
+from depthlab.distributions import (
+    Pmf,
+    _poisson_support,
+    mean_var,
+    poisson_pmf,
+    total_variation,
+    wasserstein,
+)
 from depthlab.exact_depth import depth_mean, predecessor_joint
 from depthlab.mixing import (
     EULER_GAMMA,
@@ -18,6 +26,8 @@ from depthlab.mixing import (
     measure_variance,
     measure_wasserstein,
     mixed_poisson_pmf,
+    _adaptive_gl,
+    _poisson_kernel,
 )
 
 
@@ -125,6 +135,49 @@ def test_mixpo_reflected_exponential_against_incomplete_gamma():
         closed = np.exp(-c / 2.0) * (2.0**ks) * gammainc(ks + 1, c / 2.0)
         closed[0] += math.exp(-c / 2.0)
         np.testing.assert_allclose(p.masses, closed[: len(p.masses)], atol=1e-11)
+
+
+def scipy_stats_mixed_poisson_pmf(measure, tol):
+    """Oracle: mixed_poisson_pmf with its support and tails from scipy.stats.poisson."""
+
+    def support(lam):
+        k_max = int(stats.poisson.isf(tol, lam))
+        while stats.poisson.sf(k_max, lam) >= tol:
+            k_max += 1
+        return k_max
+
+    if isinstance(measure, DiscreteMeasure):
+        k_max = support(float(measure.locations[-1]))
+        masses = measure.weights @ _poisson_kernel(measure.locations, k_max)
+        tail = float(np.dot(measure.weights, stats.poisson.sf(k_max, measure.locations)))
+        return k_max, Pmf.from_masses(0, masses, tail)
+    k_max = support(measure.c)
+    masses = _adaptive_gl(measure.c, 0.0, measure.c, k_max, tol / 10.0)
+    masses[0] += measure.atom_at_zero
+    return k_max, Pmf.from_masses(0, masses, max(0.0, 1.0 - math.fsum(masses.tolist())))
+
+
+def test_mixpo_equals_scipy_stats_oracle():
+    discrete = [
+        DiscreteMeasure.point(7.5),
+        DiscreteMeasure.from_atoms([(0.0, 0.5), (math.log(2), 0.5)]),
+        DiscreteMeasure.from_atoms([(1e-9, 0.25), (0.3, 0.25), (20.0, 0.5)]),
+        harmonic_mixing_measure(50, 17, predecessor_joint(50, 17)),
+    ]
+    reflected = [limit_mixing_measure(n, t) for n, t in ((3, 0.5), (64, 0.1), (1000, 0.5), (16384, 0.3))]
+    # The quadrature asks for tol/10 per mass.  At tol = 1e-15 that is below
+    # binary64 resolution for some c and bisection runs to its depth limit,
+    # so the reflected branch is checked down to 1e-14.
+    cases = [(m, tol) for m in discrete for tol in (1e-9, 1e-12, 1e-15)]
+    cases += [(m, tol) for m in reflected for tol in (1e-9, 1e-12, 1e-14)]
+    for measure, tol in cases:
+        k_max, ref = scipy_stats_mixed_poisson_pmf(measure, tol)
+        lam_max = measure.c if isinstance(measure, ReflectedExponential) else float(measure.locations[-1])
+        assert _poisson_support(lam_max, tol) == k_max, (measure, tol)
+        p = mixed_poisson_pmf(measure, tol)
+        assert p.offset == ref.offset and p.support_max == ref.support_max, (measure, tol)
+        assert np.array_equal(p.masses, ref.masses), (measure, tol)
+        assert p.truncated_tail == ref.truncated_tail, (measure, tol)
 
 
 def test_mixpo_is_normalized_with_tail():

@@ -13,6 +13,7 @@ from depthlab.montecarlo import (
     EmpiricalPmf,
     RngStream,
     _bst_depths,
+    _draw,
     _find_recursions,
     _permutation_rows,
     _predecessor_split,
@@ -215,6 +216,15 @@ def test_collect_samples_deterministic_and_stream_partitioned():
         collect_samples("warp", 10, 5, 10, seed=0)
     with pytest.raises(ValueError):
         collect_samples("bst", 10, 5, 0, seed=0)
+
+
+def test_collect_samples_gives_each_stream_its_own_id():
+    n, l, K, seed = 60, 25, 400, 17
+    for route in ("bst", "find", "representation", "key"):
+        key = None if route == "key" else l
+        halves = [_draw(route, n, key, K, RngStream(seed, sid).generator) for sid in (0, 1)]
+        assert collect_samples(route, n, key, 2 * K, seed, streams=2) == halves[0] + halves[1]
+        assert halves[0] != halves[1], route
 
 
 def test_route_agreement_full_fidelity():
