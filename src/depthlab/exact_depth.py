@@ -235,9 +235,14 @@ def _jd_band(n: int, l: int, i0: int, i1: int, cells) -> tuple[int, int, np.ndar
     return jlo, jhi, tail
 
 
-def predecessor_joint(n: int, l: int) -> PredecessorJoint:
-    """Materialize the full joint grid; memory is l * (n - l + 1) doubles."""
+def predecessor_joint(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> PredecessorJoint:
+    """Materialize the full joint grid; memory is l * (n - l + 1) doubles.
+
+    The cap also bounds harmonic_mixing_measure, which consumes this grid.
+    """
     _validate_nl(n, l)
+    if n > n_cap:
+        raise CapExceededError("joint predecessor grid", n, n_cap)
     blocks = [w for _, _, w, _ in _jd_blocks(n, l, banded=False)]
     return PredecessorJoint(n=n, l=l, weights=np.vstack(blocks))
 

@@ -213,7 +213,12 @@ def _adaptive_gl(c: float, a: float, b: float, k_max: int, tol: float, depth: in
     mid = 0.5 * (a + b)
     split = _gl_panel(c, a, mid, k_max) + _gl_panel(c, mid, b, k_max)
     err = float(np.max(np.abs(split - whole)))
-    if err < tol or depth >= 40:
+    # Below the rounding floor err is noise that bisection cannot shrink, so a
+    # tol under it would never be met.  The kernel's exponent adds terms up to
+    # about k_max * log(1 + b) in size, each carrying its rounding into exp().
+    scale = 8.0 + k_max * math.log1p(b)
+    floor = scale * np.finfo(np.float64).eps * float(np.max(np.abs(split)))
+    if err < tol or err < floor or depth >= 40:
         return split
     return _adaptive_gl(c, a, mid, k_max, tol / 2.0, depth + 1) + _adaptive_gl(
         c, mid, b, k_max, tol / 2.0, depth + 1
@@ -226,8 +231,9 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     For a discrete measure this is an exact finite mixture of truncated
     Poisson pmfs.  For the reflected-exponential measure the density part is
     integrated with adaptive Gauss-Legendre panels, bisected until each mass
-    point is stable below tol/10; the atom at 0 contributes e^(-c/2) to the
-    mass at 0.  The support is cut where the tail of the dominating
+    point is stable below tol/10 or down to the rounding floor of the
+    panel's largest mass; the atom at 0 contributes e^(-c/2) to the mass
+    at 0.  The support is cut where the tail of the dominating
     Poisson(rate upper bound), pdtrc from scipy.special, drops below tol.
     """
     _validate_tol(tol)

@@ -1,10 +1,11 @@
 """Seeded random generation and independent sampling routes for node depths.
 
-Three routes produce depth samples of key l: building an actual tree,
-drawing from the two-stage position/record representation, and counting
-quickselect recursions; key samples a uniformly random key's depth through
-the representation.  They agree in distribution, which the test suite
-exploits for cross-validation against the exact law; no route reads it.
+Three routes produce depth samples of key l: counting the ancestors of l in
+a random permutation, drawing from the two-stage position/record
+representation, and counting quickselect recursions; key samples a uniformly
+random key's depth through the representation.  They agree in distribution,
+which the test suite exploits for cross-validation against the exact law; no
+route reads it.
 
 Each stream's quota is drawn in numpy chunks of about _CHUNK_CELLS array
 cells, a few MiB at any n: _CHUNK_CELLS // n permutation rows on bst and
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Pmf, _validate_nl
-from .trees import Permutation, _insert_keys
+from .trees import Permutation
 
 __all__ = [
     "RngStream",
@@ -70,8 +71,23 @@ def _permutation_rows(n: int, rows: int, gen: np.random.Generator) -> np.ndarray
 
 
 def _bst_depths(perms: np.ndarray, l: int) -> np.ndarray:
-    """Depth of key l in the tree built from each row: a literal build, up to l."""
-    return np.array([_insert_keys(row.tolist(), stop=l)[2][l] for row in perms])
+    """Depth of key l in the tree built from each row, by the ancestor rule.
+
+    A key k < l is an ancestor of l exactly when it arrives before every key
+    in (k, l], and a key k > l when it arrives before every key in [l, k).
+    So the depth is the number of strict running minima of the arrival
+    positions, read outwards from l on each side, l itself not counted.  No
+    tree is built.  The route stays independent of representation, which
+    never sees a permutation.
+    """
+    rows, n = perms.shape
+    pos = np.empty((rows, n), dtype=np.int32)
+    pos[np.arange(rows)[:, None], perms - 1] = np.arange(n, dtype=np.int32)
+    depths = np.zeros(rows, dtype=np.int64)
+    for side in (pos[:, l - 1 :: -1], pos[:, l - 1 :]):
+        run = np.minimum.accumulate(side, axis=1)
+        depths += np.count_nonzero(side[:, 1:] < run[:, :-1], axis=1)
+    return depths
 
 
 def _find_recursions(perms: np.ndarray, l: int) -> np.ndarray:
@@ -150,7 +166,7 @@ def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generato
 
 
 def sample_depth_bst(n: int, l: int, rng: RngStream) -> int:
-    """Route A: insert a random permutation into a tree and read off the depth."""
+    """Route A: the ancestor count of key l in a random permutation."""
     return _draw("bst", n, l, 1, rng.generator)[0]
 
 

@@ -21,6 +21,7 @@ from depthlab.distributions import (
 from depthlab.exact_depth import (
     _JD_BLOCK_ROWS,
     BRUTE_FORCE_CAP,
+    DEFAULT_N_CAP,
     CapExceededError,
     _jd_blocks,
     brute_force_depth_pmf,
@@ -76,6 +77,17 @@ def test_joint_domain():
         predecessor_joint(3, 0)
     with pytest.raises(ValueError):
         predecessor_joint(3, 4)
+
+
+def test_joint_cap():
+    # The cap is checked before any block is built.  l = 1 keeps the grid one
+    # row, so a missing check shows as a return, never as a huge allocation.
+    with pytest.raises(CapExceededError) as err:
+        predecessor_joint(DEFAULT_N_CAP + 1, 1)
+    assert f"cap {DEFAULT_N_CAP}" in str(err.value)
+    with pytest.raises(CapExceededError):
+        predecessor_joint(101, 50, n_cap=100)
+    assert predecessor_joint(100, 50, n_cap=100).weights.shape == (50, 51)
 
 
 # ------------------------------------------------------------ dense oracle

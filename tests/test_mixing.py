@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammainc
 
+from depthlab import mixing
 from depthlab.distributions import (
     Pmf,
     _poisson_support,
@@ -165,11 +166,8 @@ def test_mixpo_equals_scipy_stats_oracle():
         harmonic_mixing_measure(50, 17, predecessor_joint(50, 17)),
     ]
     reflected = [limit_mixing_measure(n, t) for n, t in ((3, 0.5), (64, 0.1), (1000, 0.5), (16384, 0.3))]
-    # The quadrature asks for tol/10 per mass.  At tol = 1e-15 that is below
-    # binary64 resolution for some c and bisection runs to its depth limit,
-    # so the reflected branch is checked down to 1e-14.
     cases = [(m, tol) for m in discrete for tol in (1e-9, 1e-12, 1e-15)]
-    cases += [(m, tol) for m in reflected for tol in (1e-9, 1e-12, 1e-14)]
+    cases += [(m, tol) for m in reflected for tol in (1e-9, 1e-12, 1e-14, 1e-15)]
     for measure, tol in cases:
         k_max, ref = scipy_stats_mixed_poisson_pmf(measure, tol)
         lam_max = measure.c if isinstance(measure, ReflectedExponential) else float(measure.locations[-1])
@@ -178,6 +176,32 @@ def test_mixpo_equals_scipy_stats_oracle():
         assert p.offset == ref.offset and p.support_max == ref.support_max, (measure, tol)
         assert np.array_equal(p.masses, ref.masses), (measure, tol)
         assert p.truncated_tail == ref.truncated_tail, (measure, tol)
+
+
+def test_mixpo_reflected_stops_at_the_rounding_floor(monkeypatch):
+    # tol/10 per mass can lie below binary64 resolution; the quadrature then
+    # stops at the rounding floor instead of bisecting every panel to depth
+    # 40.  A panel budget turns such a hang into a failure.  (10^6, 0.1) is
+    # where a floor of 8 ulps of the panel's largest mass is not enough.
+    panels = []
+
+    def counted(*args):
+        panels.append(1)
+        if len(panels) > 3000:
+            raise RuntimeError("quadrature exceeded 3000 panels")
+        return gl_panel(*args)
+
+    gl_panel = mixing._gl_panel
+    monkeypatch.setattr(mixing, "_gl_panel", counted)
+    for n, t in ((16384, 0.5), (10**6, 0.1)):
+        nu = limit_mixing_measure(n, t)
+        for tol in (1e-15, 5e-324):
+            p = mixed_poisson_pmf(nu, tol)
+            assert abs(math.fsum(p.masses.tolist()) + p.truncated_tail - 1.0) < 1e-14
+            ks = np.arange(len(p.masses))
+            closed = np.exp(-nu.c / 2.0) * (2.0**ks) * gammainc(ks + 1, nu.c / 2.0)
+            closed[0] += nu.atom_at_zero
+            np.testing.assert_allclose(p.masses, closed, rtol=0.0, atol=1e-14)
 
 
 def test_mixpo_is_normalized_with_tail():

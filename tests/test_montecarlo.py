@@ -26,7 +26,7 @@ from depthlab.montecarlo import (
     sample_find_recursions,
     sample_random_key_depth,
 )
-from depthlab.trees import Permutation, build_bst, find_select, node_depth
+from depthlab.trees import Permutation, _insert_keys, build_bst, find_select, node_depth
 
 
 def test_stream_determinism():
@@ -94,6 +94,15 @@ def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
         depths = [node_depth(build_bst(p), l) for p in rows]
         assert _bst_depths(perms, l).tolist() == depths, (n, l)
         assert _find_recursions(perms, l).tolist() == [find_select(p, l).recursions for p in rows]
+
+
+def test_bst_ancestor_count_matches_insertion_on_full_chunks():
+    # On every row of a full chunk, the ancestor count equals the depth that
+    # the literal insertion loop gives, at both extreme keys and at n = 1.
+    for n, l in ((1000, 1), (1000, 500), (1000, 1000), (500, 250), (7, 3), (1, 1)):
+        perms = _permutation_rows(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
+        depths = [_insert_keys(row.tolist(), stop=l)[2][l] for row in perms]
+        assert _bst_depths(perms, l).tolist() == depths, (n, l)
 
 
 def test_record_skip_sum_matches_record_count_law():
@@ -231,8 +240,8 @@ def test_route_agreement_full_fidelity():
     # Pairwise d_TV between the three routes' empirical laws at 1e5 samples
     # each stays under 0.015 and each route stays within 0.01 of the exact
     # law.  The (100, 37) point runs in the acceptance suite; this covers the
-    # extreme-key and larger-n points.  Takes about a minute, dominated by
-    # tree building at n = 500.
+    # extreme-key and larger-n points.  Most of its time is the find route's
+    # quickselect at n = 500.
     for n, l in ((50, 1), (500, 250)):
         exact = exact_depth_pmf(n, l)
         emps = {
