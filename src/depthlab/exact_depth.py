@@ -235,14 +235,15 @@ def _jd_band(n: int, l: int, i0: int, i1: int, cells) -> tuple[int, int, np.ndar
     return jlo, jhi, tail
 
 
-def predecessor_joint(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> PredecessorJoint:
+def predecessor_joint(n: int, l: int) -> PredecessorJoint:
     """Materialize the full joint grid; memory is l * (n - l + 1) doubles.
 
-    The cap also bounds harmonic_mixing_measure, which consumes this grid.
+    Capped at DEFAULT_N_CAP, which also bounds harmonic_mixing_measure, the
+    consumer of this grid.
     """
     _validate_nl(n, l)
-    if n > n_cap:
-        raise CapExceededError("joint predecessor grid", n, n_cap)
+    if n > DEFAULT_N_CAP:
+        raise CapExceededError("joint predecessor grid", n, DEFAULT_N_CAP)
     blocks = [w for _, _, w, _ in _jd_blocks(n, l, banded=False)]
     return PredecessorJoint(n=n, l=l, weights=np.vstack(blocks))
 

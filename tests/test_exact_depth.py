@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp, mpf
 from scipy.special import gammaln
 
+from depthlab import exact_depth
 from depthlab.distributions import (
     Pmf,
     mean_var,
@@ -79,15 +80,17 @@ def test_joint_domain():
         predecessor_joint(3, 4)
 
 
-def test_joint_cap():
+def test_joint_cap(monkeypatch):
     # The cap is checked before any block is built.  l = 1 keeps the grid one
     # row, so a missing check shows as a return, never as a huge allocation.
     with pytest.raises(CapExceededError) as err:
         predecessor_joint(DEFAULT_N_CAP + 1, 1)
     assert f"cap {DEFAULT_N_CAP}" in str(err.value)
+    # The cap is read at call time, so the boundary can be checked at small n.
+    monkeypatch.setattr(exact_depth, "DEFAULT_N_CAP", 100)
     with pytest.raises(CapExceededError):
-        predecessor_joint(101, 50, n_cap=100)
-    assert predecessor_joint(100, 50, n_cap=100).weights.shape == (50, 51)
+        predecessor_joint(101, 50)
+    assert predecessor_joint(100, 50).weights.shape == (50, 51)
 
 
 # ------------------------------------------------------------ dense oracle

@@ -178,6 +178,35 @@ def test_mixpo_equals_scipy_stats_oracle():
         assert p.truncated_tail == ref.truncated_tail, (measure, tol)
 
 
+def plain_stop_adaptive_gl(c, a, b, k_max, tol, depth=0):
+    """Reference: _adaptive_gl with the plain stop rule, no rounding floor."""
+    whole = mixing._gl_panel(c, a, b, k_max)
+    mid = 0.5 * (a + b)
+    split = mixing._gl_panel(c, a, mid, k_max) + mixing._gl_panel(c, mid, b, k_max)
+    if float(np.max(np.abs(split - whole))) < tol or depth >= 40:
+        return split
+    return plain_stop_adaptive_gl(c, a, mid, k_max, tol / 2.0, depth + 1) + plain_stop_adaptive_gl(
+        c, mid, b, k_max, tol / 2.0, depth + 1
+    )
+
+
+def test_mixpo_reflected_floor_is_inert_at_normal_tol():
+    # Where tol/10 is above binary64 resolution the rounding floor must never
+    # stop a panel, so the masses and tail equal the plain stop rule's bit for
+    # bit, from c = 2 at (3, 0.5) to c = 60 at (10^13, 0.5).  Below c = 41
+    # the first panel pair already meets tol; at c = 60 panels are bisected,
+    # which a floor of 10^5 ulps or more would cut short.
+    points = ((3, 0.5), (64, 0.1), (1000, 0.5), (16384, 0.3), (10**6, 0.1), (10**9, 0.5), (10**13, 0.5))
+    for n, t in points:
+        nu = limit_mixing_measure(n, t)
+        for tol in (1e-9, 1e-12):
+            masses = plain_stop_adaptive_gl(nu.c, 0.0, nu.c, _poisson_support(nu.c, tol), tol / 10.0)
+            masses[0] += nu.atom_at_zero
+            p = mixed_poisson_pmf(nu, tol)
+            assert np.array_equal(p.masses, masses), (n, t, tol)
+            assert p.truncated_tail == max(0.0, 1.0 - math.fsum(masses.tolist())), (n, t, tol)
+
+
 def test_mixpo_reflected_stops_at_the_rounding_floor(monkeypatch):
     # tol/10 per mass can lie below binary64 resolution; the quadrature then
     # stops at the rounding floor instead of bisecting every panel to depth

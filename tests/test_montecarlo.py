@@ -94,11 +94,8 @@ def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
         depths = [node_depth(build_bst(p), l) for p in rows]
         assert _bst_depths(perms, l).tolist() == depths, (n, l)
         assert _find_recursions(perms, l).tolist() == [find_select(p, l).recursions for p in rows]
-
-
-def test_bst_ancestor_count_matches_insertion_on_full_chunks():
-    # On every row of a full chunk, the ancestor count equals the depth that
-    # the literal insertion loop gives, at both extreme keys and at n = 1.
+    # On every row of a full chunk, the bst route equals the depth that the
+    # literal insertion loop gives, at both extreme keys and at n = 1.
     for n, l in ((1000, 1), (1000, 500), (1000, 1000), (500, 250), (7, 3), (1, 1)):
         perms = _permutation_rows(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
         depths = [_insert_keys(row.tolist(), stop=l)[2][l] for row in perms]
