@@ -4,6 +4,8 @@ Everything here works on `Pmf`, an immutable mass function on the nonnegative
 integers that keeps track of how much probability was dropped during
 truncation.  Distances computed from truncated laws therefore come back with a
 certified error bound attached instead of silently ignoring the lost mass.
+One cumulative-sum kernel builds every record-count law on a fixed support,
+booking the mass spilled past it.
 Poisson laws come from scipy.special alone (xlogy, gammaln, pdtrc): importing
 scipy's statistics package would add about a second to every start.
 
@@ -39,10 +41,6 @@ __all__ = [
 # Default tail mass at which infinite-support laws are truncated.  The dropped
 # mass is carried in Pmf.truncated_tail, never renormalized away.
 DEFAULT_TAIL_TOL = 1e-12
-
-# Masses below this floor may be dropped inside long convolution chains to keep
-# supports narrow; the dropped amount is bookkept in truncated_tail.
-MASS_FLOOR = 1e-18
 
 _NORMALIZATION_TOL = 1e-9
 _TAIL_LIMIT = 1e-9
@@ -230,41 +228,59 @@ def _harmonic_cached(n_max_pow2: int) -> HarmonicTable:
     return harmonic_table(n_max_pow2)
 
 
+def _pow2_at_least(n: int) -> int:
+    """Smallest power of two >= max(n, 1): cached tables are sized by it."""
+    return 1 << max(n - 1, 0).bit_length()
+
+
 def shared_harmonic_table(n_max: int) -> HarmonicTable:
     """Cached harmonic table of at least the requested length."""
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    size = 1
-    while size < max(n_max, 1):
-        size *= 2
-    return _harmonic_cached(size)
+    return _harmonic_cached(_pow2_at_least(n_max))
+
+
+def _record_support_bound(m: int) -> int:
+    """Support cutoff wide enough that the spilled record-law tail is < 1e-18."""
+    if m <= 1:
+        return 2
+    h = math.log(m) + 1.0
+    return int(math.ceil(h + 8.0 * math.sqrt(h) + 16.0))
+
+
+def _record_laws(m_max: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Record-count laws on 0..K for the key counts ``rows`` picks from 0..m_max,
+    and the mass each spilled past K = min(_record_support_bound(m_max), m_max).
+
+    With col_d[m] = P(d records among m keys), m col_d[m] = (m-1) col_d[m-1]
+    + col_{d-1}[m-1], so each column is the cumulative sum of the previous
+    one divided by m.  No mass returns from past K, so masses on 0..K are
+    exact and row m has spilled the sum over k <= m of col_K[k-1]/k.  An int
+    ``rows`` keeps one law, in O(m_max) memory.
+    """
+    k_cap = min(_record_support_bound(m_max), m_max)
+    ms = np.arange(1.0, m_max + 1.0)
+    col = np.zeros(m_max + 1)
+    col[0] = 1.0
+    laws = np.empty(np.shape(col[rows]) + (k_cap + 1,))
+    laws[..., 0] = col[rows]
+    for d in range(1, k_cap + 1):
+        col = np.concatenate(([0.0], np.cumsum(col[:-1]) / ms))
+        laws[..., d] = col[rows]
+    spill = np.concatenate(([0.0], np.cumsum(col[:-1] / ms)))
+    return laws, spill[rows]
 
 
 def record_count_pmf(m: int) -> Pmf:
     """Law of the number of records in a uniform random permutation of length m.
 
-    The count is a sum of independent Bernoulli(1/i) indicators, i = 1..m, so
-    the pmf is built by iterated convolution with two-point laws.  Masses that
-    fall below the 1e-18 floor are dropped into truncated_tail.
+    The count is a sum of independent Bernoulli(1/i) indicators, i = 1..m;
+    the mass past the fixed support of _record_laws is booked in truncated_tail.
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    masses = np.array([1.0])
-    dropped = 0.0
-    for i in range(1, m + 1):
-        p = 1.0 / i
-        nxt = np.empty(len(masses) + 1)
-        nxt[0] = masses[0] * (1.0 - p)
-        nxt[1:-1] = masses[1:] * (1.0 - p) + masses[:-1] * p
-        nxt[-1] = masses[-1] * p
-        small = (nxt > 0.0) & (nxt < MASS_FLOOR)
-        if np.any(small):
-            dropped += float(nxt[small].sum())
-            nxt[small] = 0.0
-        # Trim the trailing zero region so the support stays O(log m) wide.
-        nz = np.flatnonzero(nxt)
-        masses = nxt[: int(nz[-1]) + 1]
-    return Pmf.from_masses(0, masses, dropped)
+    masses, spill = _record_laws(m, m)
+    return Pmf.from_masses(0, masses, float(spill))
 
 
 def convolve(p: Pmf, q: Pmf) -> Pmf:
@@ -332,9 +348,9 @@ def wasserstein(p: Pmf, q: Pmf) -> Distance:
 
     Computes sum over k >= 1 of |P(X >= k) - P(Y >= k)| (the k = 0 term always
     vanishes).  The attached error bound is conservative for the truncation
-    policy used here: dropped mass (certified Poisson tails and sub-1e-18
-    convolution dust) shifts each survival value by at most the dropped amount
-    across the evaluation window.
+    policy used here: dropped mass (certified Poisson tails, record-law
+    spills and grid cells outside the band) shifts each survival value by at
+    most the dropped amount across the evaluation window.
     """
     a, b = _aligned_masses(p, q)
     # Survival at k = support point: P(X >= k), accumulated from the top.

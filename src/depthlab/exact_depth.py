@@ -9,8 +9,9 @@ banded grid: each block of rows is evaluated in closed form only over the
 columns that carry mass, and the mass left out is bounded and booked in
 truncated_tail.  The cost is O(c s + l s^2) with c the number of band cells
 and s the record-pmf support width.  For a central key the band holds about
-16% of the l (n-l+1) grid cells at n = 16384 and 10% at n = 32768;
-exact_depth_pmf(16384, 8192) then takes about 0.12 s on 2 vCPU.
+16% of the l (n-l+1) grid cells at n = 16384 and 10% at n = 32768; a cold
+exact_depth_pmf(16384, 8192) takes 0.15-0.19 s on 2 vCPU, 0.01 s of it in
+the record matrix.
 
 Closed-form mean and variance, the explicit Poisson approximation bound, the
 mixed Poisson Wasserstein distance and two auxiliary inequalities are exposed
@@ -28,7 +29,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import (
-    MASS_FLOOR,
     BoundReport,
     Distance,
     HarmonicTable,
@@ -37,6 +37,8 @@ from .distributions import (
     shared_harmonic_table,
     total_variation,
     wasserstein,
+    _pow2_at_least,
+    _record_laws,
     _validate_nl,
 )
 from .mixing import limit_mixing_measure, mixed_poisson_pmf
@@ -74,6 +76,8 @@ _JD_BLOCK_ROWS = 256
 # conditional standard deviations of j given i, and at least _JD_MIN_CHUNK.
 _JD_CHUNK_SIGMAS = 2.0
 _JD_MIN_CHUNK = 8
+# Grid cells below this floor end the banded walk (see _jd_band).
+MASS_FLOOR = 1e-18
 _LOG_MASS_FLOOR = math.log(MASS_FLOOR)
 
 
@@ -248,37 +252,17 @@ def predecessor_joint(n: int, l: int) -> PredecessorJoint:
     return PredecessorJoint(n=n, l=l, weights=np.vstack(blocks))
 
 
-def _record_support_bound(m: int) -> int:
-    """Support cutoff wide enough that the discarded record-law tail is < 1e-18."""
-    if m <= 1:
-        return 2
-    h = math.log(m) + 1.0
-    return int(math.ceil(h + 8.0 * math.sqrt(h) + 16.0))
-
-
 @lru_cache(maxsize=4)
 def _record_matrix_pow2(m_pow2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows 0..m of record-count masses on 0..K, plus per-row dropped tails."""
-    k_cap = _record_support_bound(m_pow2)
-    rows = np.zeros((m_pow2 + 1, k_cap + 1))
-    tails = np.zeros(m_pow2 + 1)
-    rows[0, 0] = 1.0
-    for m in range(1, m_pow2 + 1):
-        p = 1.0 / m
-        prev = rows[m - 1]
-        rows[m, 0] = prev[0] * (1.0 - p)
-        rows[m, 1:] = prev[1:] * (1.0 - p) + prev[:-1] * p
-        tails[m] = tails[m - 1] + prev[-1] * p
+    """Rows 0..m of record-count masses on 0..K, plus per-row spilled tails."""
+    rows, tails = _record_laws(m_pow2, slice(None))
     rows.flags.writeable = False
     tails.flags.writeable = False
     return rows, tails
 
 
 def _record_matrix(m_max: int) -> tuple[np.ndarray, np.ndarray]:
-    size = 1
-    while size < max(m_max, 1):
-        size *= 2
-    rows, tails = _record_matrix_pow2(size)
+    rows, tails = _record_matrix_pow2(_pow2_at_least(m_max))
     return rows[: m_max + 1], tails[: m_max + 1]
 
 
@@ -315,11 +299,7 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
 
 def exact_depth_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> Pmf:
     """Exact pmf of the depth of the node holding key l."""
-    grid, tail = _move_grid(n, l, n_cap)
-    k = grid.shape[0]
-    diag = np.add.outer(np.arange(k), np.arange(k)).ravel()
-    masses = np.bincount(diag, weights=grid.ravel())
-    return Pmf.from_masses(0, masses, tail)
+    return MoveJoint(n, l, *_move_grid(n, l, n_cap)).depth_pmf()
 
 
 def move_joint_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> MoveJoint:

@@ -62,6 +62,10 @@ class DiscreteMeasure:
             raise ValueError("locations must be >= 0")
         if np.any(w < 0.0):
             raise ValueError("weights must be >= 0")
+        loc, inverse = np.unique(loc, return_inverse=True)
+        merged = np.zeros(loc.size)
+        np.add.at(merged, inverse, w)
+        w = merged
         if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         loc.flags.writeable = False
@@ -72,12 +76,10 @@ class DiscreteMeasure:
     @classmethod
     def from_atoms(cls, atoms: list[tuple[float, float]]) -> "DiscreteMeasure":
         """Build from (location, weight) pairs, sorting and merging duplicates."""
-        loc = np.asarray([a[0] for a in atoms], dtype=np.float64)
-        w = np.asarray([a[1] for a in atoms], dtype=np.float64)
-        uniq, inverse = np.unique(loc, return_inverse=True)
-        merged = np.zeros(len(uniq))
-        np.add.at(merged, inverse, w)
-        return cls(uniq, merged)
+        return cls(
+            np.asarray([a[0] for a in atoms], dtype=np.float64),
+            np.asarray([a[1] for a in atoms], dtype=np.float64),
+        )
 
     @classmethod
     def point(cls, location: float) -> "DiscreteMeasure":
@@ -148,11 +150,7 @@ def harmonic_mixing_measure(n: int, l: int, jd, h: HarmonicTable | None = None) 
     if h is None:
         h = shared_harmonic_table(n)
     locations = np.add.outer(h.H[:l], h.H[: n - l + 1]).ravel()
-    weights = np.asarray(jd.weights, dtype=np.float64).ravel()
-    uniq, inverse = np.unique(locations, return_inverse=True)
-    merged = np.zeros(len(uniq))
-    np.add.at(merged, inverse, weights)
-    return DiscreteMeasure(uniq, merged)
+    return DiscreteMeasure(locations, np.ravel(jd.weights))
 
 
 def measure_mean(measure: MixingMeasure) -> float:

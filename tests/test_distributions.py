@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -17,6 +18,7 @@ from depthlab.distributions import (
     BoundReport,
     Pmf,
     _poisson_support,
+    _record_laws,
     convolve,
     harmonic_table,
     ks_to_standard_normal,
@@ -41,6 +43,41 @@ def enumerate_record_counts(m):
         counts[records] = counts.get(records, 0) + 1
     fact = math.factorial(m)
     return {k: Fraction(v, fact) for k, v in counts.items()}
+
+
+def record_matrix_loop(m_max, k_cap):
+    """Oracle: record laws for m = 0..m_max on 0..k_cap, one Bernoulli(1/m) step
+    per row, with the mass leaving k_cap accumulated as each row's spill."""
+    rows = np.zeros((m_max + 1, k_cap + 1))
+    tails = np.zeros(m_max + 1)
+    rows[0, 0] = 1.0
+    for m in range(1, m_max + 1):
+        p = 1.0 / m
+        prev = rows[m - 1]
+        rows[m, 0] = prev[0] * (1.0 - p)
+        rows[m, 1:] = prev[1:] * (1.0 - p) + prev[:-1] * p
+        tails[m] = tails[m - 1] + prev[-1] * p
+    return rows, tails
+
+
+def record_count_floor_loop(m, floor=1e-18):
+    """Oracle: the record law of m keys by m two-point convolutions, dropping
+    masses below ``floor`` into the tail and trimming the support each step."""
+    masses = np.array([1.0])
+    dropped = 0.0
+    for i in range(1, m + 1):
+        p = 1.0 / i
+        nxt = np.empty(len(masses) + 1)
+        nxt[0] = masses[0] * (1.0 - p)
+        nxt[1:-1] = masses[1:] * (1.0 - p) + masses[:-1] * p
+        nxt[-1] = masses[-1] * p
+        small = (nxt > 0.0) & (nxt < floor)
+        if np.any(small):
+            dropped += float(nxt[small].sum())
+            nxt[small] = 0.0
+        nz = np.flatnonzero(nxt)
+        masses = nxt[: int(nz[-1]) + 1]
+    return Pmf.from_masses(0, masses, dropped)
 
 
 # ----------------------------------------------------------- construction
@@ -130,8 +167,8 @@ def test_record_count_matches_enumeration():
 
 
 def test_record_count_mean_is_harmonic():
-    h = harmonic_table(10**4)
-    for m in (3, 47, 1000, 10**4):
+    h = harmonic_table(2 * 10**5)
+    for m in (3, 47, 1000, 10**4, 2 * 10**5):
         mean, var = mean_var(record_count_pmf(m))
         assert abs(mean - h.H[m]) < 1e-10
         assert var == pytest.approx(h.H[m] - h.H2[m], abs=1e-9)
@@ -147,6 +184,35 @@ def test_record_count_mean_every_m_up_to_1e4():
     means = rows @ np.arange(rows.shape[1], dtype=np.float64)
     h = harmonic_table(m_top)
     assert np.max(np.abs(means - h.H[: m_top + 1])) < 1e-10
+
+
+def test_record_kernel_matches_matrix_loop():
+    for size in (2**10, 2**14):
+        rows, tails = _record_laws(size, slice(None))
+        ref_rows, ref_tails = record_matrix_loop(size, rows.shape[1] - 1)
+        big = ref_rows > 1e-15
+        rel = np.abs(rows[big] - ref_rows[big]) / ref_rows[big]
+        assert rel.max() <= 1e-13
+        assert np.max(np.abs(tails - ref_tails)) <= 1e-30
+
+
+def test_record_count_matches_floor_loop():
+    for m in (0, 1, 2, 5, 30, 1000, 10**4):
+        d = total_variation(record_count_pmf(m), record_count_floor_loop(m))
+        assert float(d) <= 1e-14
+
+
+def test_record_count_memory_is_linear_in_m():
+    # One law keeps O(m) memory: a few columns of m + 1 doubles, never the
+    # (m + 1) x (K + 1) matrix of all laws (about 96 MB here).
+    m = 2 * 10**5
+    tracemalloc.start()
+    try:
+        record_count_pmf(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (m + 1) * 8
 
 
 def test_record_count_rejects_negative():

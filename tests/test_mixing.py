@@ -50,6 +50,16 @@ def test_discrete_measure_merges_atoms():
     assert list(m.weights) == [0.5, 0.5]
 
 
+def test_discrete_measure_constructor_sorts_and_merges():
+    direct = DiscreteMeasure(np.array([3.0, 1.0, 3.0, 0.0]), np.full(4, 0.25))
+    atoms = DiscreteMeasure.from_atoms([(0.0, 0.25), (1.0, 0.25), (3.0, 0.5)])
+    assert np.array_equal(direct.locations, atoms.locations)
+    assert np.array_equal(direct.weights, atoms.weights)
+    unsorted = DiscreteMeasure(np.array([5.0, 1.0]), np.array([0.5, 0.5]))
+    spread = DiscreteMeasure.from_atoms([(0.0, 0.5), (10.0, 0.5)])
+    assert measure_wasserstein(unsorted, spread) == pytest.approx(3.0, abs=1e-15)
+
+
 def test_discrete_measure_validation():
     with pytest.raises(ValueError):
         DiscreteMeasure(np.array([-1.0]), np.array([1.0]))
