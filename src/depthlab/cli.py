@@ -138,6 +138,7 @@ def cmd_exact(args, out) -> int:
 
 def cmd_approx(args, out) -> int:
     if args.t is not None:
+        _check_mixpo_args(args.n, args.t)
         l = rank_to_key(args.n, args.t)
     else:
         l = args.l
@@ -157,7 +158,6 @@ def cmd_approx(args, out) -> int:
             "margin": rep.margin,
         }
     if args.t is not None:
-        _check_mixpo_args(args.n, args.t)
         d, scaled = _mixpo_distance_of(exact, args.n, args.t)
         doc["mixpo"] = {
             "t": args.t,
@@ -424,7 +424,8 @@ def cmd_simulate(args, out) -> int:
 def cmd_depth_plot(args, out) -> int:
     if args.perm_file:
         try:
-            text = open(args.perm_file, "r", encoding="ascii").read()
+            with open(args.perm_file, "r", encoding="ascii") as fh:
+                text = fh.read()
             values = [int(tok) for tok in text.split()]
             perm = Permutation.from_iterable(values)
         except (OSError, ValueError) as exc:

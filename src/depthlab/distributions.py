@@ -318,9 +318,17 @@ def poisson_pmf(lam: float, tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     if lam == 0.0:
         return Pmf.delta(0)
     k_max = _poisson_support(lam, tol)
+    return Pmf.from_masses(0, _poisson_kernel(lam, k_max)[0], float(pdtrc(k_max, lam)))
+
+
+def _poisson_kernel(lam, k_max: int) -> np.ndarray:
+    """Matrix P[a, k] = e^(-lam_a) lam_a^k / k! for k = 0..k_max.
+
+    xlogy(0, 0) = 0 makes a row with lam = 0 the point mass at 0.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
     ks = np.arange(k_max + 1)
-    masses = np.exp(xlogy(ks, lam) - gammaln(ks + 1) - lam)
-    return Pmf.from_masses(0, masses, float(pdtrc(k_max, lam)))
+    return np.exp(xlogy(ks, lam[:, None]) - gammaln(ks + 1) - lam[:, None])
 
 
 def _aligned_masses(p: Pmf, q: Pmf) -> tuple[np.ndarray, np.ndarray]:

@@ -3,23 +3,24 @@
 Two kinds of mixing measure appear in this project: finite discrete measures
 on [0, inf), and the reflected-exponential family (c - 2X)^+ with X
 exponential of mean 1, which is the limiting measure for the depth of central
-keys.  ``mixed_poisson_pmf`` integrates the Poisson kernel against either.
+keys.  ``mixed_poisson_pmf`` mixes the Poisson kernel over a discrete measure
+as a finite sum and over the reflected-exponential measure in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import pdtrc
 
 from .distributions import (
     DEFAULT_TAIL_TOL,
     HarmonicTable,
     Pmf,
+    _poisson_kernel,
     _poisson_support,
     _validate_tol,
     shared_harmonic_table,
@@ -175,64 +176,17 @@ def measure_variance(measure: MixingMeasure) -> float:
     return 4.0 - 4.0 * c * math.exp(-c / 2.0) - 4.0 * math.exp(-c)
 
 
-@lru_cache(maxsize=1)
-def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(16)
-    return x, w
-
-
-def _poisson_kernel(lam: np.ndarray, k_max: int) -> np.ndarray:
-    """Matrix P[a, k] = e^(-lam_a) lam_a^k / k! for k = 0..k_max."""
-    lam = np.asarray(lam, dtype=np.float64)
-    ks = np.arange(k_max + 1)
-    log_lam = np.log(np.where(lam > 0.0, lam, 1.0))
-    logp = ks[None, :] * log_lam[:, None] - lam[:, None] - gammaln(ks + 1)[None, :]
-    out = np.exp(logp)
-    zero = lam == 0.0
-    if np.any(zero):
-        out[zero, :] = 0.0
-        out[zero, 0] = 1.0
-    return out
-
-
-def _gl_panel(c: float, a: float, b: float, k_max: int) -> np.ndarray:
-    """16-point Gauss-Legendre estimate of the mixed Poisson masses over (a, b)."""
-    x, w = _gl_nodes()
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    lam = mid + half * x
-    kern = _poisson_kernel(lam, k_max)
-    dens = 0.5 * np.exp(-(c - lam) / 2.0)
-    return half * ((w * dens) @ kern)
-
-
-def _adaptive_gl(c: float, a: float, b: float, k_max: int, tol: float, depth: int = 0) -> np.ndarray:
-    whole = _gl_panel(c, a, b, k_max)
-    mid = 0.5 * (a + b)
-    split = _gl_panel(c, a, mid, k_max) + _gl_panel(c, mid, b, k_max)
-    err = float(np.max(np.abs(split - whole)))
-    # Below the rounding floor err is noise that bisection cannot shrink, so a
-    # tol under it would never be met.  The kernel's exponent adds terms up to
-    # about k_max * log(1 + b) in size, each carrying its rounding into exp().
-    scale = 8.0 + k_max * math.log1p(b)
-    floor = scale * np.finfo(np.float64).eps * float(np.max(np.abs(split)))
-    if err < tol or err < floor or depth >= 40:
-        return split
-    return _adaptive_gl(c, a, mid, k_max, tol / 2.0, depth + 1) + _adaptive_gl(
-        c, mid, b, k_max, tol / 2.0, depth + 1
-    )
-
-
 def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     """Pmf of the mixed Poisson law with the given mixing measure.
 
     For a discrete measure this is an exact finite mixture of truncated
-    Poisson pmfs.  For the reflected-exponential measure the density part is
-    integrated with adaptive Gauss-Legendre panels, bisected until each mass
-    point is stable below tol/10 or down to the rounding floor of the
-    panel's largest mass; the atom at 0 contributes e^(-c/2) to the mass
-    at 0.  The support is cut where the tail of the dominating
-    Poisson(rate upper bound), pdtrc from scipy.special, drops below tol.
+    Poisson pmfs.  For the reflected-exponential measure the density part
+    gives mass e^(-c/2) 2^k P(Poisson(c/2) > k) at k, and the atom at 0 adds
+    e^(-c/2) to the mass at 0.  The support is cut where the tail of the
+    dominating Poisson(rate upper bound), pdtrc from scipy.special, drops
+    below tol.  A discrete mixture books its own tail past the cut; the
+    reflected mixture books the Poisson(c) tail, which bounds its own
+    because every rate is at most c.
     """
     _validate_tol(tol)
     if isinstance(measure, DiscreteMeasure):
@@ -249,11 +203,10 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
         return Pmf.delta(0)
     c = measure.c
     k_max = _poisson_support(c, tol)
-    masses = _adaptive_gl(c, 0.0, c, k_max, tol / 10.0)
+    ks = np.arange(k_max + 1)
+    masses = np.ldexp(pdtrc(ks, c / 2.0), ks) * math.exp(-c / 2.0)
     masses[0] += measure.atom_at_zero
-    total = math.fsum(masses.tolist())
-    tail = max(0.0, 1.0 - total)
-    return Pmf.from_masses(0, masses, tail)
+    return Pmf.from_masses(0, masses, float(pdtrc(k_max, c)))
 
 
 def measure_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

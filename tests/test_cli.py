@@ -2,11 +2,14 @@
 
 import io
 import json
+import sys
+import warnings
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from depthlab import cli
 from depthlab.cli import run
 
 
@@ -82,6 +85,19 @@ def test_approx_with_t(schema):
     doc = validate(out, schema)
     assert doc["mixpo"]["d_w"] > 0
     assert doc["mixpo"]["d_w_scaled_by_sqrt_log_n"] > 0
+
+
+def test_approx_checks_n_and_t_before_the_exact_law(monkeypatch, capsys):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("exact law built before --n/--t were checked")
+
+    monkeypatch.setattr(cli, "exact_depth_pmf", unexpected)
+    code, _ = run_cli(["approx", "--n", "1", "--t", "0.5"])
+    assert code == 2
+    assert "n must be >= 2" in capsys.readouterr().err
+    code, _ = run_cli(["approx", "--n", "50", "--t", "1.5"])
+    assert code == 2
+    assert "t must lie strictly inside (0, 1)" in capsys.readouterr().err
 
 
 def test_approx_requires_exactly_one_of_l_t():
@@ -249,6 +265,20 @@ def test_depth_plot_from_file(tmp_path, schema):
     code, out = run_cli(["depth-plot", "--perm-file", str(path)])
     doc = validate(out, schema)
     assert doc["depths"] == [1, 0, 1]
+
+
+def test_depth_plot_closes_the_perm_file(tmp_path, monkeypatch):
+    # An unclosed file warns when it is collected; under the "error" filter
+    # that warning is raised inside the finalizer and reaches unraisablehook.
+    path = tmp_path / "perm.txt"
+    path.write_text("2 1 3\n")
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _ = run_cli(["depth-plot", "--perm-file", str(path)])
+    assert code == 0
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_depth_plot_random_single(schema):

@@ -1,15 +1,17 @@
 """Mixing measures, mixed Poisson evaluation and the contraction property."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy import stats
 from scipy.special import gammainc
 
-from depthlab import mixing
 from depthlab.distributions import (
     Pmf,
+    _poisson_kernel,
     _poisson_support,
     mean_var,
     poisson_pmf,
@@ -27,8 +29,6 @@ from depthlab.mixing import (
     measure_variance,
     measure_wasserstein,
     mixed_poisson_pmf,
-    _adaptive_gl,
-    _poisson_kernel,
 )
 
 
@@ -148,8 +148,47 @@ def test_mixpo_reflected_exponential_against_incomplete_gamma():
         np.testing.assert_allclose(p.masses, closed[: len(p.masses)], atol=1e-11)
 
 
+@lru_cache(maxsize=1)
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(16)
+    return x, w
+
+
+def _gl_panel(c: float, a: float, b: float, k_max: int) -> np.ndarray:
+    """16-point Gauss-Legendre estimate of the mixed Poisson masses over (a, b)."""
+    x, w = _gl_nodes()
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    lam = mid + half * x
+    kern = _poisson_kernel(lam, k_max)
+    dens = 0.5 * np.exp(-(c - lam) / 2.0)
+    return half * ((w * dens) @ kern)
+
+
+def _adaptive_gl(c: float, a: float, b: float, k_max: int, tol: float, depth: int = 0) -> np.ndarray:
+    """Reference: the density part of the reflected mixture by adaptive quadrature."""
+    whole = _gl_panel(c, a, b, k_max)
+    mid = 0.5 * (a + b)
+    split = _gl_panel(c, a, mid, k_max) + _gl_panel(c, mid, b, k_max)
+    err = float(np.max(np.abs(split - whole)))
+    # Below the rounding floor err is noise that bisection cannot shrink, so a
+    # tol under it would never be met.  The kernel's exponent adds terms up to
+    # about k_max * log(1 + b) in size, each carrying its rounding into exp().
+    scale = 8.0 + k_max * math.log1p(b)
+    floor = scale * np.finfo(np.float64).eps * float(np.max(np.abs(split)))
+    if err < tol or err < floor or depth >= 40:
+        return split
+    return _adaptive_gl(c, a, mid, k_max, tol / 2.0, depth + 1) + _adaptive_gl(
+        c, mid, b, k_max, tol / 2.0, depth + 1
+    )
+
+
 def scipy_stats_mixed_poisson_pmf(measure, tol):
-    """Oracle: mixed_poisson_pmf with its support and tails from scipy.stats.poisson."""
+    """Oracle: mixed_poisson_pmf with its support and tails from scipy.stats.poisson.
+
+    The reflected measure's masses come from the quadrature above and its
+    tail is the dominating Poisson(c) tail.
+    """
 
     def support(lam):
         k_max = int(stats.poisson.isf(tol, lam))
@@ -165,7 +204,7 @@ def scipy_stats_mixed_poisson_pmf(measure, tol):
     k_max = support(measure.c)
     masses = _adaptive_gl(measure.c, 0.0, measure.c, k_max, tol / 10.0)
     masses[0] += measure.atom_at_zero
-    return k_max, Pmf.from_masses(0, masses, max(0.0, 1.0 - math.fsum(masses.tolist())))
+    return k_max, Pmf.from_masses(0, masses, float(stats.poisson.sf(k_max, measure.c)))
 
 
 def test_mixpo_equals_scipy_stats_oracle():
@@ -184,54 +223,38 @@ def test_mixpo_equals_scipy_stats_oracle():
         assert _poisson_support(lam_max, tol) == k_max, (measure, tol)
         p = mixed_poisson_pmf(measure, tol)
         assert p.offset == ref.offset and p.support_max == ref.support_max, (measure, tol)
-        assert np.array_equal(p.masses, ref.masses), (measure, tol)
         assert p.truncated_tail == ref.truncated_tail, (measure, tol)
+        if isinstance(measure, DiscreteMeasure):
+            assert np.array_equal(p.masses, ref.masses), (measure, tol)
+        else:
+            # Closed form against quadrature: two computations, so rounding differs.
+            np.testing.assert_allclose(p.masses, ref.masses, rtol=0.0, atol=1e-14, err_msg=str((measure, tol)))
 
 
-def plain_stop_adaptive_gl(c, a, b, k_max, tol, depth=0):
-    """Reference: _adaptive_gl with the plain stop rule, no rounding floor."""
-    whole = mixing._gl_panel(c, a, b, k_max)
-    mid = 0.5 * (a + b)
-    split = mixing._gl_panel(c, a, mid, k_max) + mixing._gl_panel(c, mid, b, k_max)
-    if float(np.max(np.abs(split - whole))) < tol or depth >= 40:
-        return split
-    return plain_stop_adaptive_gl(c, a, mid, k_max, tol / 2.0, depth + 1) + plain_stop_adaptive_gl(
-        c, mid, b, k_max, tol / 2.0, depth + 1
-    )
-
-
-def test_mixpo_reflected_floor_is_inert_at_normal_tol():
-    # Where tol/10 is above binary64 resolution the rounding floor must never
-    # stop a panel, so the masses and tail equal the plain stop rule's bit for
-    # bit, from c = 2 at (3, 0.5) to c = 60 at (10^13, 0.5).  Below c = 41
-    # the first panel pair already meets tol; at c = 60 panels are bisected,
-    # which a floor of 10^5 ulps or more would cut short.
-    points = ((3, 0.5), (64, 0.1), (1000, 0.5), (16384, 0.3), (10**6, 0.1), (10**9, 0.5), (10**13, 0.5))
-    for n, t in points:
+def test_mixpo_reflected_matches_mpmath():
+    # 40-digit masses e^(-c/2) 2^k P(k+1, c/2), P the regularized lower
+    # incomplete gamma, plus the atom at 0.  The booked tail must cover the
+    # mixture's true mass past k_max.
+    for n, t in ((64, 0.1), (16384, 0.5), (10**6, 0.1), (10**13, 0.5)):
         nu = limit_mixing_measure(n, t)
-        for tol in (1e-9, 1e-12):
-            masses = plain_stop_adaptive_gl(nu.c, 0.0, nu.c, _poisson_support(nu.c, tol), tol / 10.0)
-            masses[0] += nu.atom_at_zero
-            p = mixed_poisson_pmf(nu, tol)
-            assert np.array_equal(p.masses, masses), (n, t, tol)
-            assert p.truncated_tail == max(0.0, 1.0 - math.fsum(masses.tolist())), (n, t, tol)
+        p = mixed_poisson_pmf(nu, 1e-12)
+        k_max = _poisson_support(nu.c, 1e-12)
+        assert p.offset == 0 and p.support_max == k_max, (n, t)
+        with mp.workdps(40):
+            half = mpf(nu.c) / 2
+            exact = [
+                mp.exp(-half) * 2**k * mp.gammainc(k + 1, 0, half, regularized=True)
+                for k in range(k_max + 1)
+            ]
+            exact[0] += mp.exp(-half)
+            error = max(abs(mpf(float(m)) - e) for m, e in zip(p.masses, exact))
+            assert error <= 5e-15, (n, t, float(error))
+            assert mpf(p.truncated_tail) >= 1 - mp.fsum(exact), (n, t)
 
 
-def test_mixpo_reflected_stops_at_the_rounding_floor(monkeypatch):
-    # tol/10 per mass can lie below binary64 resolution; the quadrature then
-    # stops at the rounding floor instead of bisecting every panel to depth
-    # 40.  A panel budget turns such a hang into a failure.  (10^6, 0.1) is
-    # where a floor of 8 ulps of the panel's largest mass is not enough.
-    panels = []
-
-    def counted(*args):
-        panels.append(1)
-        if len(panels) > 3000:
-            raise RuntimeError("quadrature exceeded 3000 panels")
-        return gl_panel(*args)
-
-    gl_panel = mixing._gl_panel
-    monkeypatch.setattr(mixing, "_gl_panel", counted)
+def test_mixpo_reflected_below_binary64_resolution():
+    # tol = 1e-15 and the smallest subnormal still return, normalized and on
+    # the incomplete-gamma closed form.
     for n, t in ((16384, 0.5), (10**6, 0.1)):
         nu = limit_mixing_measure(n, t)
         for tol in (1e-15, 5e-324):
