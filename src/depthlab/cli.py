@@ -13,68 +13,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any
 
-import numpy as np
-
 from . import __version__
-from .distributions import (
-    Pmf,
-    mean_var,
-    record_count_pmf,
-    total_variation,
-    wasserstein,
-)
+from .distributions import Pmf, mean_var, total_variation
 from .exact_depth import (
-    BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
     CapExceededError,
-    brute_force_depth_pmf,
     depth_mean,
     depth_variance,
     exact_depth_pmf,
-    hypergeometric_log_bound_report,
-    mixing_variance_report,
-    mixpo_distance,
-    move_joint_pmf,
-    poisson_bound_report,
     rank_to_key,
-    _check_mixpo_args,
     _mixpo_distance_of,
+    _mixpo_measure,
     _poisson_bound_of,
 )
-from .mixing import (
-    DiscreteMeasure,
-    limit_mixing_measure,
-    measure_wasserstein,
-    mixed_poisson_pmf,
-)
 from .montecarlo import RngStream, collect_samples, empirical_pmf, random_permutation
-from .trees import Permutation, depth_plot, find_select
+from .trees import Permutation, depth_plot
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-THEOREM3_GRID = [2, 3, 5, 10, 30, 100, 300, 1000, 3000]
-THEOREM6_GRID = [64, 256, 1024, 4096, 16384]
-
-_SUITES = (
-    "oracle",
-    "moments",
-    "theorem3",
-    "theorem6",
-    "lemma2",
-    "lemma4b",
-    "lemma5",
-    "metrics",
-    "find",
-    "moves",
-)
 
 
 def _fmt(x: float) -> str:
@@ -137,16 +100,18 @@ def cmd_exact(args, out) -> int:
 
 
 def cmd_approx(args, out) -> int:
+    measure = None
     if args.t is not None:
-        _check_mixpo_args(args.n, args.t)
+        # Built before the exact law, so a bad --n or --t fails first.
+        measure = _mixpo_measure(args.n, args.t)
         l = rank_to_key(args.n, args.t)
     else:
         l = args.l
-    doc: dict[str, Any] = {"meta": _meta("approx", n=args.n, l=l)}
-    mean = depth_mean(args.n, l)
-    doc["mean"] = mean
-    doc["variance"] = depth_variance(args.n, l)
-    exact = None
+    doc: dict[str, Any] = {
+        "meta": _meta("approx", n=args.n, l=l),
+        "mean": depth_mean(args.n, l),
+        "variance": depth_variance(args.n, l),
+    }
     if args.n >= 2:
         # One exact law serves both reports; with --t, l is the mixpo key.
         exact = exact_depth_pmf(args.n, l, n_cap=args.cap)
@@ -157,11 +122,11 @@ def cmd_approx(args, out) -> int:
             "holds": rep.holds,
             "margin": rep.margin,
         }
-    if args.t is not None:
-        d, scaled = _mixpo_distance_of(exact, args.n, args.t)
+    if measure is not None:
+        d, scaled = _mixpo_distance_of(exact, args.n, measure)
         doc["mixpo"] = {
             "t": args.t,
-            "shift": limit_mixing_measure(args.n, args.t).c,
+            "shift": measure.c,
             "d_w": float(d),
             "d_w_error_bound": d.error_bound,
             "d_w_scaled_by_sqrt_log_n": scaled,
@@ -183,180 +148,12 @@ def cmd_approx(args, out) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _verify_rows(suite: str, args) -> list[dict]:
-    """One row per check; rhs is null for purely informational rows."""
-    rows: list[dict] = []
-
-    def add(params: dict, lhs: float, rhs: float | None, holds: bool) -> None:
-        rows.append(
-            {
-                "suite": suite,
-                "params": params,
-                "lhs": float(lhs),
-                "rhs": None if rhs is None else float(rhs),
-                "holds": bool(holds),
-            }
-        )
-
-    if suite == "oracle":
-        n_max = min(args.n_max or 8, BRUTE_FORCE_CAP)
-        grid = [args.n] if args.n else range(1, n_max + 1)
-        for n in grid:
-            for l in range(1, n + 1):
-                d = total_variation(exact_depth_pmf(n, l), brute_force_depth_pmf(n, l))
-                add({"n": n, "l": l}, float(d), 1e-12, float(d) <= 1e-12)
-
-    elif suite == "moments":
-        n_max = args.n_max or 500
-        grid = [args.n] if args.n else range(1, n_max + 1)
-        for n in grid:
-            for l in _l_grid(n, 20):
-                pmf = exact_depth_pmf(n, l, n_cap=args.cap)
-                mean, var = mean_var(pmf)
-                mean_err = abs(mean - depth_mean(n, l))
-                kv = depth_variance(n, l)
-                var_err = abs(var - kv) / max(1.0, kv)
-                add({"n": n, "l": l, "check": "mean"}, mean_err, 1e-9, mean_err <= 1e-9)
-                add({"n": n, "l": l, "check": "variance"}, var_err, 1e-8, var_err <= 1e-8)
-
-    elif suite == "theorem3":
-        if args.n is not None and args.n < 2:
-            raise ValueError("the Poisson approximation bound requires n >= 2")
-        grid = [args.n] if args.n else [
-            n for n in THEOREM3_GRID if n <= (args.n_max or THEOREM3_GRID[-1])
-        ]
-        for n in grid:
-            for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n}):
-                rep = poisson_bound_report(n, l, n_cap=args.cap)
-                add({"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds)
-
-    elif suite == "theorem6":
-        grid = [n for n in THEOREM6_GRID if n <= (args.n_max or THEOREM6_GRID[-1])]
-        if args.n:
-            grid = [args.n]
-        scaled_values: list[tuple[int, float]] = []
-        for n in grid:
-            _, scaled = mixpo_distance(n, 0.5, n_cap=args.cap)
-            scaled_values.append((n, scaled))
-        threshold = 1.10 * scaled_values[0][1] if scaled_values else None
-        for i, (n, scaled) in enumerate(scaled_values):
-            rhs = threshold if i > 0 else None
-            add(
-                {"n": n, "t": 0.5, "check": "d_w_scaled"},
-                scaled,
-                rhs,
-                True if rhs is None else scaled <= rhs,
-            )
-
-    elif suite == "lemma2":
-        n_max = args.n_max or 300
-        grid = [args.n] if args.n else range(1, n_max + 1)
-        for n in grid:
-            for l in range(1, n + 1):
-                rep = mixing_variance_report(n, l)
-                add({"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds)
-
-    elif suite == "lemma4b":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed or 0)))
-        trials = args.trials or 1000
-        for trial in range(trials):
-            mu = _random_measure(rng)
-            nu = _random_measure(rng)
-            lhs = float(
-                wasserstein(mixed_poisson_pmf(mu), mixed_poisson_pmf(nu))
-            )
-            rhs = measure_wasserstein(mu, nu) + 1e-8
-            add({"trial": trial}, lhs, rhs, lhs <= rhs)
-
-    elif suite == "lemma5":
-        grid = [args.n] if args.n else range(1, (args.n_max or 80) + 1)
-        for N in grid:
-            for M in range(0, N + 1):
-                for n_draw in range(0, N + 1):
-                    if n_draw * M < 1:
-                        continue
-                    rep = hypergeometric_log_bound_report(N, M, n_draw)
-                    add({"N": N, "M": M, "n": n_draw}, rep.lhs, rep.rhs, rep.holds)
-
-    elif suite == "metrics":
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed or 0)))
-        trials = args.trials or 1000
-        for trial in range(trials):
-            p = _random_pmf(rng)
-            q = _random_pmf(rng)
-            tv = float(total_variation(p, q))
-            dw = float(wasserstein(p, q))
-            add({"trial": trial, "check": "tv_le_2dw"}, tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10)
-            gap = abs(mean_var(p)[0] - mean_var(q)[0])
-            add({"trial": trial, "check": "dw_ge_mean_gap"}, gap, dw + 1e-10, gap <= dw + 1e-10)
-
-    elif suite == "find":
-        n_max = min(args.n_max or 7, 7)
-        grid = [args.n] if args.n else range(1, n_max + 1)
-        for n in grid:
-            for l in range(1, n + 1):
-                pmf = _exhaustive_find_pmf(n, l)
-                d = total_variation(pmf, brute_force_depth_pmf(n, l))
-                add({"n": n, "l": l}, float(d), 0.0, float(d) == 0.0)
-
-    elif suite == "moves":
-        n_max = args.n_max or 30
-        grid = [args.n] if args.n else range(1, n_max + 1)
-        for n in grid:
-            for l in (1, max(1, n // 2), n):
-                mj = move_joint_pmf(n, l, n_cap=args.cap)
-                d_r = total_variation(
-                    mj.right_marginal().shifted(1), record_count_pmf(l)
-                )
-                d_l = total_variation(
-                    mj.left_marginal().shifted(1), record_count_pmf(n + 1 - l)
-                )
-                add({"n": n, "l": l, "check": "right"}, float(d_r), 1e-12, float(d_r) <= 1e-12)
-                add({"n": n, "l": l, "check": "left"}, float(d_l), 1e-12, float(d_l) <= 1e-12)
-
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
-
-    return rows
-
-
-def _l_grid(n: int, points: int) -> list[int]:
-    if n <= points:
-        return list(range(1, n + 1))
-    return sorted({max(1, min(n, round(1 + (n - 1) * i / (points - 1)))) for i in range(points)})
-
-
-def _random_pmf(rng: np.random.Generator) -> Pmf:
-    width = int(rng.integers(1, 25))
-    offset = int(rng.integers(0, 6))
-    masses = rng.random(width) + 1e-3
-    return Pmf.from_masses(offset, masses / masses.sum())
-
-
-def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
-    size = int(rng.integers(1, 8))
-    locations = rng.random(size) * 20.0
-    weights = rng.random(size) + 1e-3
-    weights /= weights.sum()
-    # Renormalize exactly so construction never trips the 1e-12 sum check.
-    weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
-    return DiscreteMeasure.from_atoms(list(zip(locations, weights)))
-
-
-def _exhaustive_find_pmf(n: int, l: int) -> Pmf:
-    from itertools import permutations
-
-    counts = np.zeros(n, dtype=np.int64)
-    for values in permutations(range(1, n + 1)):
-        counts[find_select(Permutation(values), l).recursions] += 1
-    return Pmf.from_masses(0, counts / math.factorial(n))
-
-
 def cmd_verify(args, out) -> int:
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    rows: list[dict] = []
-    for suite in suites:
-        rows.extend(_verify_rows(suite, args))
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    flags = {k: getattr(args, k) for k in ("n", "n_max", "trials", "seed", "cap")}
+    rows = [row for suite in suites for row in run_suite(suite, **flags)]
+    if not rows:
+        raise ValueError("the selected sweep has no checks")
     failed = [r for r in rows if not r["holds"]]
     if args.format == "json":
         _emit_json(
@@ -376,10 +173,8 @@ def cmd_verify(args, out) -> int:
             out.write(f"{r['suite']},{params},{_fmt(r['lhs'])},{rhs},{r['holds']}\n")
     if failed:
         for r in failed:
-            print(
-                f"FAILED {r['suite']} {r['params']}: lhs={r['lhs']} rhs={r['rhs']}",
-                file=sys.stderr,
-            )
+            msg = f"FAILED {r['suite']} {r['params']}: lhs={r['lhs']} rhs={r['rhs']}"
+            print(msg, file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     print(f"verified {len(rows)} checks across {len(suites)} suite(s)", file=sys.stderr)
     return EXIT_OK
@@ -480,15 +275,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--t", type=float, help="relative key rank in (0,1)")
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
-    p_verify.add_argument("--suite", choices=("all",) + _SUITES, default="all")
+    p_verify.add_argument("--suite", choices=("all", *SUITES), default="all")
     p_verify.add_argument("--n", type=int, help="restrict a sweep to a single n")
     p_verify.add_argument("--n-max", type=int, help="upper bound for sweep sizes")
     p_verify.add_argument("--trials", type=int, help="trial count for randomized suites")
     p_verify.add_argument("--seed", type=int, help="seed for randomized suites")
     p_verify.add_argument("--all-rows", action="store_true", help="emit passing rows too")
-    p_verify.add_argument("--format", choices=("json", "csv"), default="json")
-    p_verify.add_argument("--output", help="write data here instead of stdout")
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_N_CAP)
+    common(p_verify, need_n=False)
 
     p_sim = sub.add_parser("simulate", help="sample depths on one of the routes")
     common(p_sim)

@@ -41,7 +41,7 @@ from .distributions import (
     _record_laws,
     _validate_nl,
 )
-from .mixing import limit_mixing_measure, mixed_poisson_pmf
+from .mixing import ReflectedExponential, limit_mixing_measure, mixed_poisson_pmf
 from .trees import _insert_keys
 
 __all__ = [
@@ -365,20 +365,20 @@ def mixpo_distance(
     promises the scaled value stays bounded, with no explicit constant, so
     callers should assert boundedness or trends only.
     """
-    _check_mixpo_args(n, t)
-    return _mixpo_distance_of(exact_depth_pmf(n, rank_to_key(n, t), n_cap), n, t)
+    measure = _mixpo_measure(n, t)
+    return _mixpo_distance_of(exact_depth_pmf(n, rank_to_key(n, t), n_cap), n, measure)
 
 
-def _check_mixpo_args(n: int, t: float) -> None:
+def _mixpo_measure(n: int, t: float) -> ReflectedExponential:
+    """limit_mixing_measure(n, t) for mixpo_distance, which needs n >= 2."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie strictly inside (0, 1), got {t}")
+    return limit_mixing_measure(n, t)
 
 
-def _mixpo_distance_of(exact: Pmf, n: int, t: float) -> tuple[Distance, float]:
-    """mixpo_distance for an already computed exact law of key rank_to_key(n, t)."""
-    d = wasserstein(exact, mixed_poisson_pmf(limit_mixing_measure(n, t)))
+def _mixpo_distance_of(exact: Pmf, n: int, measure: ReflectedExponential) -> tuple[Distance, float]:
+    """mixpo_distance for an already computed exact law and its mixing measure."""
+    d = wasserstein(exact, mixed_poisson_pmf(measure))
     return d, float(d) * math.sqrt(math.log(n))
 
 

@@ -1,0 +1,205 @@
+"""Verification suites: the paper's inequalities and exact-vs-oracle identities
+swept over grids.  ``SUITES`` maps each name to a generator of (params, lhs,
+rhs, holds) checks; ``run_suite`` returns them as the rows ``verify`` prints.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import permutations
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
+
+from .distributions import Pmf, mean_var, record_count_pmf, total_variation, wasserstein
+from .exact_depth import (
+    BRUTE_FORCE_CAP,
+    DEFAULT_N_CAP,
+    CapExceededError,
+    brute_force_depth_pmf,
+    depth_mean,
+    depth_variance,
+    exact_depth_pmf,
+    hypergeometric_log_bound_report,
+    mixing_variance_report,
+    mixpo_distance,
+    move_joint_pmf,
+    poisson_bound_report,
+)
+from .mixing import DiscreteMeasure, measure_wasserstein, mixed_poisson_pmf
+from .trees import Permutation, find_select
+
+__all__ = ["SUITES", "run_suite"]
+
+THEOREM3_GRID = (2, 3, 5, 10, 30, 100, 300, 1000, 3000)
+THEOREM6_GRID = (64, 256, 1024, 4096, 16384)
+# Theorem 6 has no explicit constant: the scaled d_W may grow 10% past its first value.
+THEOREM6_GROWTH = 1.10
+DEFAULT_TRIALS = 1000
+FIND_ENUMERATION_CAP = 7  # find runs n quickselects on each of the n! permutations
+
+Checks = Iterator[tuple[dict, float, float | None, bool]]
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The arguments of one suite run, with defaults resolved."""
+
+    n: int | None
+    n_max: int | None
+    trials: int
+    rng: np.random.Generator
+    cap: int
+
+    def sizes(self, default_max: int, cap: float = math.inf) -> Sequence[int]:
+        """The single n, else 1..n_max (default_max if unset), cut at cap."""
+        if self.n is not None:
+            if self.n > cap:
+                raise CapExceededError("exhaustive sweep", self.n, cap)
+            return [self.n]
+        return range(1, min(self.n_max or default_max, cap) + 1)
+
+    def grid_sizes(self, grid: Sequence[int]) -> Sequence[int]:
+        """The single n, else the points of a fixed grid up to n_max."""
+        if self.n is not None:
+            return [self.n]
+        return [n for n in grid if n <= (self.n_max or grid[-1])]
+
+
+def _oracle(sw: _Sweep) -> Checks:
+    for n in sw.sizes(8, cap=BRUTE_FORCE_CAP):
+        for l in range(1, n + 1):
+            d = float(total_variation(exact_depth_pmf(n, l), brute_force_depth_pmf(n, l)))
+            yield {"n": n, "l": l}, d, 1e-12, d <= 1e-12
+
+
+def _moments(sw: _Sweep) -> Checks:
+    for n in sw.sizes(500):
+        # 20 evenly spread keys (every key when n <= 20).
+        for l in sorted({round(1 + (n - 1) * i / 19) for i in range(20)}):
+            mean, var = mean_var(exact_depth_pmf(n, l, n_cap=sw.cap))
+            mean_err = abs(mean - depth_mean(n, l))
+            kv = depth_variance(n, l)
+            var_err = abs(var - kv) / max(1.0, kv)
+            yield {"n": n, "l": l, "check": "mean"}, mean_err, 1e-9, mean_err <= 1e-9
+            yield {"n": n, "l": l, "check": "variance"}, var_err, 1e-8, var_err <= 1e-8
+
+
+def _theorem3(sw: _Sweep) -> Checks:
+    for n in sw.grid_sizes(THEOREM3_GRID):
+        for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n}):
+            rep = poisson_bound_report(n, l, n_cap=sw.cap)
+            yield {"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds
+
+
+def _theorem6(sw: _Sweep) -> Checks:
+    threshold = None
+    for n in sw.grid_sizes(THEOREM6_GRID):
+        _, scaled = mixpo_distance(n, 0.5, n_cap=sw.cap)
+        params = {"n": n, "t": 0.5, "check": "d_w_scaled"}
+        yield params, scaled, threshold, threshold is None or scaled <= threshold
+        if threshold is None:
+            threshold = THEOREM6_GROWTH * scaled
+
+
+def _lemma2(sw: _Sweep) -> Checks:
+    for n in sw.sizes(300):
+        for l in range(1, n + 1):
+            rep = mixing_variance_report(n, l)
+            yield {"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds
+
+
+def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
+    size = int(rng.integers(1, 8))
+    locations = rng.random(size) * 20.0
+    weights = rng.random(size) + 1e-3
+    weights /= weights.sum()
+    # Renormalize exactly so construction never trips the 1e-12 sum check.
+    weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
+    return DiscreteMeasure.from_atoms(list(zip(locations, weights)))
+
+
+def _lemma4b(sw: _Sweep) -> Checks:
+    for trial in range(sw.trials):
+        mu, nu = _random_measure(sw.rng), _random_measure(sw.rng)
+        lhs = float(wasserstein(mixed_poisson_pmf(mu), mixed_poisson_pmf(nu)))
+        rhs = measure_wasserstein(mu, nu) + 1e-8
+        yield {"trial": trial}, lhs, rhs, lhs <= rhs
+
+
+def _lemma5(sw: _Sweep) -> Checks:
+    for N in sw.sizes(80):
+        for M in range(1, N + 1):  # cases with n * M = 0 are skipped
+            for n_draw in range(1, N + 1):
+                rep = hypergeometric_log_bound_report(N, M, n_draw)
+                yield {"N": N, "M": M, "n": n_draw}, rep.lhs, rep.rhs, rep.holds
+
+
+def _random_pmf(rng: np.random.Generator) -> Pmf:
+    width = int(rng.integers(1, 25))
+    offset = int(rng.integers(0, 6))
+    masses = rng.random(width) + 1e-3
+    return Pmf.from_masses(offset, masses / masses.sum())
+
+
+def _metrics(sw: _Sweep) -> Checks:
+    for trial in range(sw.trials):
+        p, q = _random_pmf(sw.rng), _random_pmf(sw.rng)
+        tv = float(total_variation(p, q))
+        dw = float(wasserstein(p, q))
+        yield {"trial": trial, "check": "tv_le_2dw"}, tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10
+        gap = abs(mean_var(p)[0] - mean_var(q)[0])
+        yield {"trial": trial, "check": "dw_ge_mean_gap"}, gap, dw + 1e-10, gap <= dw + 1e-10
+
+
+def _find(sw: _Sweep) -> Checks:
+    for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
+        # counts[l - 1, r]: permutations on which quickselect for l recurses r times.
+        counts = np.zeros((n, n), dtype=np.int64)
+        for values in permutations(range(1, n + 1)):
+            perm = Permutation(values)
+            for l in range(1, n + 1):
+                counts[l - 1, find_select(perm, l).recursions] += 1
+        for l in range(1, n + 1):
+            pmf = Pmf.from_masses(0, counts[l - 1] / math.factorial(n))
+            d = float(total_variation(pmf, brute_force_depth_pmf(n, l)))
+            yield {"n": n, "l": l}, d, 0.0, d == 0.0
+
+
+def _moves(sw: _Sweep) -> Checks:
+    for n in sw.sizes(30):
+        for l in (1, max(1, n // 2), n):
+            mj = move_joint_pmf(n, l, n_cap=sw.cap)
+            d_r = float(total_variation(mj.right_marginal().shifted(1), record_count_pmf(l)))
+            d_l = float(total_variation(mj.left_marginal().shifted(1), record_count_pmf(n + 1 - l)))
+            yield {"n": n, "l": l, "check": "right"}, d_r, 1e-12, d_r <= 1e-12
+            yield {"n": n, "l": l, "check": "left"}, d_l, 1e-12, d_l <= 1e-12
+
+
+SUITES: dict[str, Callable[[_Sweep], Checks]] = {
+    f.__name__.lstrip("_"): f
+    for f in (_oracle, _moments, _theorem3, _theorem6, _lemma2,
+              _lemma4b, _lemma5, _metrics, _find, _moves)
+}
+
+
+def run_suite(name: str, *, n: int | None = None, n_max: int | None = None,
+              trials: int | None = None, seed: int | None = None,
+              cap: int = DEFAULT_N_CAP) -> list[dict]:
+    """Rows {suite, params, lhs, rhs, holds} of one suite; rhs is None on informational rows.
+
+    ``n`` runs one size and ``n_max`` bounds the sizes; ``trials`` and ``seed`` drive lemma4b
+    and metrics.  Unset values take the suite's defaults; an unknown name raises KeyError.
+    """
+    suite = SUITES[name]
+    for flag, value in (("n", n), ("n_max", n_max), ("trials", trials)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    rng = np.random.default_rng(seed or 0)
+    checks = suite(_Sweep(n, n_max, trials or DEFAULT_TRIALS, rng, cap))
+    return [
+        {"suite": name, "params": params, "lhs": float(lhs),
+         "rhs": None if rhs is None else float(rhs), "holds": bool(holds)}
+        for params, lhs, rhs, holds in checks
+    ]

@@ -7,7 +7,6 @@ as they complete.  Regression baselines live in tests/data/baselines.json.
 import json
 import math
 import time
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +14,9 @@ import numpy as np
 import depthlab as dl
 from depthlab.distributions import harmonic_table
 from depthlab.montecarlo import RngStream
+from depthlab.verify import run_suite
 
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
-
-POISSON_BOUND_GRID = [2, 3, 5, 10, 30, 100, 300, 1000, 3000]
-MIXPO_TREND_GRID = [64, 256, 1024, 4096, 16384]
 
 
 def _line(label: int | str, ok: bool, detail: str) -> None:
@@ -27,39 +24,9 @@ def _line(label: int | str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {label!s:>2} {status}: {detail}")
 
 
-def _l_grid(n: int, points: int = 20) -> list[int]:
-    if n <= points:
-        return list(range(1, n + 1))
-    return sorted(
-        {max(1, min(n, round(1 + (n - 1) * i / (points - 1)))) for i in range(points)}
-    )
-
-
-def random_pmf(rng) -> dl.Pmf:
-    width = int(rng.integers(1, 25))
-    offset = int(rng.integers(0, 6))
-    masses = rng.random(width) + 1e-3
-    return dl.Pmf.from_masses(offset, masses / masses.sum())
-
-
-def random_measure(rng) -> dl.DiscreteMeasure:
-    size = int(rng.integers(1, 8))
-    locations = rng.random(size) * 20.0
-    weights = rng.random(size) + 1e-3
-    weights /= weights.sum()
-    weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
-    return dl.DiscreteMeasure.from_atoms(list(zip(locations, weights)))
-
-
 def test_criterion_01_oracle_equivalence():
     t0 = time.time()
-    worst = 0.0
-    for n in range(1, 9):
-        for l in range(1, n + 1):
-            d = float(
-                dl.total_variation(dl.exact_depth_pmf(n, l), dl.brute_force_depth_pmf(n, l))
-            )
-            worst = max(worst, d)
+    worst = max(row["lhs"] for row in run_suite("oracle", n_max=8))
     elapsed = time.time() - t0
     ok = worst < 1e-12 and elapsed < 60
     _line(1, ok, f"exact vs enumeration, n<=8 all l: worst d_TV={worst:.2e} ({elapsed:.1f}s)")
@@ -69,13 +36,9 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_03_moment_identities():
     t0 = time.time()
-    worst_mean = worst_var = 0.0
-    for n in range(1, 501):
-        for l in _l_grid(n):
-            mean, var = dl.mean_var(dl.exact_depth_pmf(n, l))
-            worst_mean = max(worst_mean, abs(mean - dl.depth_mean(n, l)))
-            kv = dl.depth_variance(n, l)
-            worst_var = max(worst_var, abs(var - kv) / max(1.0, kv))
+    rows = run_suite("moments", n_max=500)
+    worst_mean = max(r["lhs"] for r in rows if r["params"]["check"] == "mean")
+    worst_var = max(r["lhs"] for r in rows if r["params"]["check"] == "variance")
     elapsed = time.time() - t0
     ok_mean = worst_mean < 1e-9
     _line(2, ok_mean, f"mean identity n<=500: worst abs err={worst_mean:.2e} ({elapsed:.1f}s)")
@@ -94,14 +57,12 @@ def test_criterion_02_03_moment_identities():
 def test_criterion_04_poisson_bound_grid():
     t0 = time.time()
     baseline = BASELINES["poisson_bound_lhs"]
-    all_hold = True
+    rows = run_suite("theorem3")
+    all_hold = all(r["holds"] for r in rows)
     drift = 0.0
-    for n in POISSON_BOUND_GRID:
-        for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n}):
-            rep = dl.poisson_bound_report(n, l)
-            all_hold &= rep.holds
-            ref = baseline[f"{n},{l}"]
-            drift = max(drift, abs(rep.lhs - ref) / max(1e-12, ref))
+    for r in rows:
+        ref = baseline["{n},{l}".format(**r["params"])]
+        drift = max(drift, abs(r["lhs"] - ref) / max(1e-12, ref))
     elapsed = time.time() - t0
     ok = all_hold and drift < 1e-6 and elapsed < 300
     _line(
@@ -117,14 +78,12 @@ def test_criterion_04_poisson_bound_grid():
 def test_criterion_05_mixpo_trend():
     t0 = time.time()
     baseline = BASELINES["mixpo_scaled_dw"]
-    scaled = {}
-    for n in MIXPO_TREND_GRID:
-        _, s = dl.mixpo_distance(n, 0.5)
-        scaled[n] = s
+    scaled = {r["params"]["n"]: r["lhs"] for r in run_suite("theorem6")}
+    for n, s in scaled.items():
         assert math.isfinite(s)
         assert abs(s - baseline[str(n)]) / baseline[str(n)] < 1e-6
     elapsed = time.time() - t0
-    first, last = scaled[MIXPO_TREND_GRID[0]], scaled[MIXPO_TREND_GRID[-1]]
+    first, last = scaled[min(scaled)], scaled[max(scaled)]
     assert scaled[4096] <= 1.10 * scaled[64]
     ok = last <= 1.10 * first and elapsed < 900
     _line(
@@ -139,13 +98,11 @@ def test_criterion_05_mixpo_trend():
 
 def test_criterion_06_mixing_variance_bound():
     t0 = time.time()
-    max_var, argmax = 0.0, None
-    for n in range(1, 301):
-        for l in range(1, n + 1):
-            rep = dl.mixing_variance_report(n, l)
-            assert rep.holds, (n, l)
-            if rep.lhs > max_var:
-                max_var, argmax = rep.lhs, (n, l)
+    rows = run_suite("lemma2", n_max=300)
+    for r in rows:
+        assert r["holds"], r["params"]
+    top = max(rows, key=lambda r: r["lhs"])
+    max_var, argmax = top["lhs"], tuple(top["params"].values())
     elapsed = time.time() - t0
     ref = BASELINES["mixing_variance_max"]["value"]
     ok = max_var <= 28.0 and abs(max_var - ref) < 1e-6
@@ -159,17 +116,11 @@ def test_criterion_06_mixing_variance_bound():
 
 def test_criterion_07_hypergeometric_bound():
     t0 = time.time()
-    checked = 0
-    min_margin = math.inf
-    for N in range(1, 81):
-        for M in range(0, N + 1):
-            for n in range(0, N + 1):
-                if n * M < 1:
-                    continue
-                rep = dl.hypergeometric_log_bound_report(N, M, n)
-                assert rep.holds, (N, M, n)
-                checked += 1
-                min_margin = min(min_margin, rep.margin)
+    rows = run_suite("lemma5", n_max=80)
+    for r in rows:
+        assert r["holds"], r["params"]
+    checked = len(rows)
+    min_margin = min(r["rhs"] - r["lhs"] for r in rows)
     elapsed = time.time() - t0
     _line(
         7,
@@ -181,30 +132,25 @@ def test_criterion_07_hypergeometric_bound():
 
 def test_criterion_08_mixpo_contraction():
     t0 = time.time()
-    rng = np.random.default_rng(20240817)
-    worst = -math.inf
-    for _ in range(1000):
-        mu = random_measure(rng)
-        nu = random_measure(rng)
-        lhs = float(dl.wasserstein(dl.mixed_poisson_pmf(mu), dl.mixed_poisson_pmf(nu)))
-        rhs = dl.measure_wasserstein(mu, nu)
-        worst = max(worst, lhs - rhs)
-        assert lhs <= rhs + 1e-8
+    # The suite's rhs carries a 1e-8 slack over the measure-level distance.
+    rows = run_suite("lemma4b", trials=1000, seed=20240817)
+    for r in rows:
+        assert r["holds"], r["params"]
+    worst = max(r["lhs"] - (r["rhs"] - 1e-8) for r in rows)
     elapsed = time.time() - t0
     _line(8, True, f"mixed-Poisson contraction, 1000 pairs: worst excess={worst:.2e} ({elapsed:.1f}s)")
 
 
 def test_criterion_09_tv_le_two_dw():
     t0 = time.time()
-    rng = np.random.default_rng(31337)
-    worst = -math.inf
-    for _ in range(1000):
-        p = random_pmf(rng)
-        q = random_pmf(rng)
-        tv = float(dl.total_variation(p, q))
-        dw = float(dl.wasserstein(p, q))
-        worst = max(worst, tv - 2 * dw)
-        assert tv <= 2.0 * dw + 1e-10
+    # The suite's rhs carries a 1e-10 slack over 2 d_W.
+    rows = [
+        r for r in run_suite("metrics", trials=1000, seed=31337)
+        if r["params"]["check"] == "tv_le_2dw"
+    ]
+    for r in rows:
+        assert r["holds"], r["params"]
+    worst = max(r["lhs"] - (r["rhs"] - 1e-10) for r in rows)
     elapsed = time.time() - t0
     _line(9, True, f"d_TV <= 2 d_W on 1000 pairs: worst excess={worst:.2e} ({elapsed:.1f}s)")
 
@@ -212,16 +158,8 @@ def test_criterion_09_tv_le_two_dw():
 def test_criterion_10_find_equivalence():
     t0 = time.time()
     # Exhaustive: recursion-count pmf equals the enumeration oracle pmf exactly.
-    for n in range(1, 8):
-        fact = math.factorial(n)
-        counts = {l: np.zeros(n, dtype=np.int64) for l in range(1, n + 1)}
-        for values in permutations(range(1, n + 1)):
-            perm = dl.Permutation(values)
-            for l in range(1, n + 1):
-                counts[l][dl.find_select(perm, l).recursions] += 1
-        for l in range(1, n + 1):
-            pmf = dl.Pmf.from_masses(0, counts[l] / fact)
-            assert float(dl.total_variation(pmf, dl.brute_force_depth_pmf(n, l))) == 0.0
+    for r in run_suite("find", n_max=7):
+        assert r["lhs"] == 0.0, r["params"]
 
     # Pathwise: r_minus + r_plus equals the tree depth on 1e5 random cases.
     rng = RngStream(seed=424242)
@@ -250,19 +188,7 @@ def test_criterion_10_find_equivalence():
 
 def test_criterion_11_move_counts():
     t0 = time.time()
-    worst = 0.0
-    for n in (2, 3, 5, 10, 40, 120):
-        for l in sorted({1, max(1, n // 2), n}):
-            mj = dl.move_joint_pmf(n, l)
-            worst = max(
-                worst,
-                float(dl.total_variation(mj.right_marginal().shifted(1), dl.record_count_pmf(l))),
-                float(
-                    dl.total_variation(
-                        mj.left_marginal().shifted(1), dl.record_count_pmf(n + 1 - l)
-                    )
-                ),
-            )
+    worst = max(r["lhs"] for n in (2, 3, 5, 10, 40, 120) for r in run_suite("moves", n=n))
     mj = dl.move_joint_pmf(3, 2)
     joint = mj.grid[0, 0]
     product = mj.right_marginal().mass_at(0) * mj.left_marginal().mass_at(0)

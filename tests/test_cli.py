@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from depthlab import cli
+from depthlab import cli, verify
 from depthlab.cli import run
 
 
@@ -150,6 +150,62 @@ def test_verify_find_and_moves():
     assert code == 0
     code, _ = run_cli(["verify", "--suite", "moves", "--n-max", "10"])
     assert code == 0
+
+
+# Tiny arguments that give each suite at least one row in well under a second.
+TINY_SUITE_ARGS = {
+    "oracle": ["--n-max", "3"],
+    "moments": ["--n-max", "5"],
+    "theorem3": ["--n-max", "10"],
+    "theorem6": ["--n", "64"],
+    "lemma2": ["--n-max", "5"],
+    "lemma4b": ["--trials", "5"],
+    "lemma5": ["--n-max", "5"],
+    "metrics": ["--trials", "5"],
+    "find": ["--n-max", "4"],
+    "moves": ["--n-max", "5"],
+}
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_every_suite_tiny(suite, schema):
+    argv = ["verify", "--suite", suite, *TINY_SUITE_ARGS[suite], "--all-rows"]
+    code, out = run_cli(argv)
+    assert code == 0
+    doc = validate(out, schema)
+    assert doc["checks"] == len(doc["rows"]) >= 1
+    assert {row["suite"] for row in doc["rows"]} == {suite}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "oracle", "--n", "-3"],
+        ["--suite", "oracle", "--n", "0"],
+        ["--suite", "oracle", "--n-max", "0"],
+        ["--suite", "lemma4b", "--trials", "-5"],
+        ["--suite", "metrics", "--trials", "0"],
+        ["--suite", "theorem6", "--n-max", "10"],
+        ["--suite", "theorem3", "--n-max", "1"],
+    ],
+    ids=["n_negative", "n_zero", "n_max_zero", "trials_negative", "trials_zero",
+         "theorem6_empty_grid", "theorem3_empty_grid"],
+)
+def test_verify_rejects_empty_or_nonsensical_selection(argv, capsys):
+    code, out = run_cli(["verify", *argv])
+    assert code == 2
+    assert out == ""
+    assert "error" in capsys.readouterr().err
+
+
+def test_verify_find_over_enumeration_cap_exit_3(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("find enumerated permutations above its cap")
+
+    monkeypatch.setattr(verify, "find_select", unexpected)
+    code, out = run_cli(["verify", "--suite", "find", "--n", "12"])
+    assert code == 3
+    assert out == ""
 
 
 def test_verify_csv_rows():
