@@ -93,25 +93,31 @@ def _bst_depths(perms: np.ndarray, l: int) -> np.ndarray:
 def _find_recursions(perms: np.ndarray, l: int) -> np.ndarray:
     """Quickselect recursion count at rank l for every row at once.
 
-    alive marks each row's current sublist; its first alive entry is the pivot.
+    Each row is a permutation of 1..n, so rank l is the value l and a row's
+    current sublist is always its values in [lo, hi], in arrival order.
+    Each level marks those values in the full row, takes the first as pivot,
+    stops the row when the pivot is l, and otherwise moves lo or hi past the
+    pivot; no row is compacted.  This simulates partitioning: it builds no
+    inverse permutation and no running minima, so it checks the bst route's
+    ancestor rule rather than repeating it.
     """
-    out = np.empty(perms.shape[0], dtype=np.int64)
-    todo = np.arange(perms.shape[0])
-    alive = np.ones(perms.shape, dtype=bool)
-    rank = np.full(todo.size, l)
-    recursions = 0
-    while todo.size:
+    rows, n = perms.shape
+    out = np.empty(rows, dtype=np.int64)
+    todo = np.arange(rows)
+    lo = np.ones((rows, 1), dtype=perms.dtype)
+    hi = np.full((rows, 1), n, dtype=perms.dtype)
+    for recursions in range(n):  # each level drops at least its pivot
+        if not todo.size:
+            break
+        alive = (perms >= lo) & (perms <= hi)
         pivot = perms[np.arange(todo.size), alive.argmax(axis=1)][:, None]
-        smaller = alive & (perms < pivot)
-        k = smaller.sum(axis=1)
-        hit = k == rank - 1
+        hit = pivot[:, 0] == l
         out[todo[hit]] = recursions
-        todo, perms, alive, smaller, pivot, k, rank = (
-            a[~hit] for a in (todo, perms, alive, smaller, pivot, k, rank))
-        lower = k >= rank
-        alive = np.where(lower[:, None], smaller, alive & (perms > pivot))
-        rank = np.where(lower, rank, rank - 1 - k)
-        recursions += 1
+        keep = ~hit
+        todo, perms, lo, hi, pivot = (a[keep] for a in (todo, perms, lo, hi, pivot))
+        lower = pivot > l
+        hi = np.where(lower, pivot - 1, hi)
+        lo = np.where(lower, lo, pivot + 1)
     return out
 
 

@@ -169,7 +169,7 @@ def _find(sw: _Sweep) -> Checks:
 
 def _moves(sw: _Sweep) -> Checks:
     for n in sw.sizes(30):
-        for l in (1, max(1, n // 2), n):
+        for l in sorted({1, max(1, n // 2), n}):
             mj = move_joint_pmf(n, l, n_cap=sw.cap)
             d_r = float(total_variation(mj.right_marginal().shifted(1), record_count_pmf(l)))
             d_l = float(total_variation(mj.left_marginal().shifted(1), record_count_pmf(n + 1 - l)))

@@ -152,6 +152,14 @@ def test_verify_find_and_moves():
     assert code == 0
 
 
+def test_verify_moves_checks_each_key_once():
+    # l runs over {1, n // 2, n} without repeats: two checks (right, left) per key.
+    for n, rows in ((1, 2), (2, 4), (3, 4), (4, 6)):
+        got = verify.run_suite("moves", n=n)
+        assert len(got) == rows, (n, got)
+        assert len({(r["params"]["l"], r["params"]["check"]) for r in got}) == rows
+
+
 # Tiny arguments that give each suite at least one row in well under a second.
 TINY_SUITE_ARGS = {
     "oracle": ["--n-max", "3"],

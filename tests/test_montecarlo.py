@@ -1,6 +1,7 @@
 """Sampling routes: determinism, distributional correctness, cross-validation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
         perms = _permutation_rows(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
         depths = [_insert_keys(row.tolist(), stop=l)[2][l] for row in perms]
         assert _bst_depths(perms, l).tolist() == depths, (n, l)
+    # The find route equals scalar quickselect on every row of a full chunk,
+    # and on both sides of the uint8/uint16 and uint16/uint32 edges of the
+    # row dtype, np.min_scalar_type(n); a chunk at the wide edge is 4 rows.
+    edges = [(n, l) for n in (255, 256, 65535, 65536) for l in (1, n)]
+    for n, l in [(1000, 1), (1000, 500), (1000, 1000)] + edges:
+        perms = _permutation_rows(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
+        recursions = [find_select(Permutation(tuple(row.tolist())), l).recursions for row in perms]
+        assert _find_recursions(perms, l).tolist() == recursions, (n, l, perms.dtype)
+
+
+def test_find_kernel_peak_memory_on_full_chunk():
+    # The partition kernel at n = 1000, l = 500 on one full chunk (262 rows,
+    # uint16) peaks at no more than the mask-compacting kernel it replaced:
+    # 2_116_143 bytes under tracemalloc on these rows with numpy 2.4.6
+    # (about 1.58e6 now).  Guards peak RSS of the find route.
+    perms = _permutation_rows(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
+    tracemalloc.start()
+    try:
+        _find_recursions(perms, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_116_143, peak
 
 
 def test_record_skip_sum_matches_record_count_law():
@@ -237,8 +261,9 @@ def test_route_agreement_full_fidelity():
     # Pairwise d_TV between the three routes' empirical laws at 1e5 samples
     # each stays under 0.015 and each route stays within 0.01 of the exact
     # law.  The (100, 37) point runs in the acceptance suite; this covers the
-    # extreme-key and larger-n points.  Most of its time is the find route's
-    # quickselect at n = 500.
+    # extreme-key and larger-n points.  Most of its time is the bst and find
+    # routes at n = 500, about 2.3 s each, and over half of that is drawing
+    # the permutation rows.
     for n, l in ((50, 1), (500, 250)):
         exact = exact_depth_pmf(n, l)
         emps = {
