@@ -340,7 +340,6 @@ def poisson_bound_report(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> BoundRep
     """Check d_TV(exact law, Poisson with the same mean) <= (28 + pi^2)/log n."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    _validate_nl(n, l)
     return _poisson_bound_of(exact_depth_pmf(n, l, n_cap), n, l)
 
 
@@ -385,25 +384,31 @@ def _mixpo_distance_of(exact: Pmf, n: int, measure: ReflectedExponential) -> tup
 def mixing_variance_report(n: int, l: int) -> BoundReport:
     """Check that the variance of the harmonic mixing measure is at most 28.
 
-    Computed straight off the banded joint grid: weights at locations
-    H_i + H_j, taken per block over the block's band only.  The location
-    grid is never built: its first two moments expand into row sums and
-    the products w @ H_j and w @ H_j^2.
+    The measure is the law of H_I + H_J, with (I, J) the predecessor counts
+    of key l.  Give every key an independent uniform arrival time and fix
+    key l's time u: then I ~ Bin(a, u) and J ~ Bin(b, u) are independent,
+    a = l-1 and b = n-l, and I, J are marginally uniform on 0..a and 0..b.
+    Four harmonic sums give the variance:
+        E[H_I] = H_{a+1} - 1, so E[H_I] + E[H_J] = depth_mean(n, l);
+        E[H_I^2] = ((a+1) H_a^2 - (2a+1) H_a + 2a) / (a+1), and likewise J;
+        E[H_I H_J] = int_0^1 g_a(u) g_b(u) du, where g_a(u) = E[H_Bin(a,u)],
+                   = (H_{a+1} - 1) H_b - H_a b/(b+1)
+                     + sum_{m=1..b} (H_a + H_{m+1} - H_{a+m+1}) / (m(m+1))
+    by partial fractions.  The value is symmetric in (a, b), so b is taken
+    as the shorter side and the sum is the only O(min(a, b)) step.
     """
-    _validate_nl(n, l)
-    h = shared_harmonic_table(n)
-    var_terms: list[float] = []
-    mean_terms: list[float] = []
-    for i0, jlo, w, _ in _jd_blocks(n, l):
-        hi = h.H[i0 : i0 + w.shape[0]]
-        hj = h.H[jlo : jlo + w.shape[1]]
-        row = w.sum(axis=1)
-        row_hj = w @ hj
-        mean_terms.append(float(hi @ row + row_hj.sum()))
-        var_terms.append(float((hi * hi) @ row + 2.0 * (hi @ row_hj) + (w @ (hj * hj)).sum()))
-    mean = math.fsum(mean_terms)
-    second = math.fsum(var_terms)
-    return BoundReport.check(second - mean * mean, 28.0)
+    mean = depth_mean(n, l)  # also validates (n, l)
+    H = shared_harmonic_table(n).H
+    a, b = max(l - 1, n - l), min(l - 1, n - l)
+
+    def second_moment(k: int) -> float:
+        return ((k + 1) * H[k] ** 2 - (2 * k + 1) * H[k] + 2 * k) / (k + 1)
+
+    m = np.arange(1, b + 1)
+    cross = (H[a + 1] - 1.0) * H[b] - H[a] * b / (b + 1) + math.fsum(
+        ((H[a] + H[2 : b + 2] - H[a + 2 : a + b + 2]) / (m * (m + 1))).tolist()
+    )
+    return BoundReport.check(second_moment(a) + second_moment(b) + 2.0 * cross - mean * mean, 28.0)
 
 
 def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:

@@ -112,11 +112,6 @@ class ReflectedExponential:
     def atom_at_zero(self) -> float:
         return 1.0 if self.degenerate else math.exp(-self.c / 2.0)
 
-    def density(self, t: float) -> float:
-        if self.degenerate or not 0.0 < t < self.c:
-            return 0.0
-        return 0.5 * math.exp(-(self.c - t) / 2.0)
-
     def to_json_dict(self) -> dict:
         return {"variant": "exp-reflected", "c": float(self.c)}
 

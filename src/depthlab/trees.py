@@ -140,13 +140,7 @@ def ascending_record_count(seq: Sequence[int]) -> int:
 
 
 def descending_record_count(seq: Sequence[int]) -> int:
-    count = 0
-    best = None
-    for x in seq:
-        if best is None or x < best:
-            count += 1
-            best = x
-    return count
+    return ascending_record_count([-x for x in seq])
 
 
 @dataclass(frozen=True)

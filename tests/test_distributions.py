@@ -28,6 +28,7 @@ from depthlab.distributions import (
     total_variation,
     wasserstein,
 )
+from depthlab.verify import run_suite
 
 
 def enumerate_record_counts(m):
@@ -363,19 +364,10 @@ def test_metric_axioms_on_random_pairs():
 
 
 def test_tv_le_2dw_and_dw_ge_mean_gap():
-    rng = np.random.default_rng(99)
-    for _ in range(1000):
-        ps = []
-        for _ in range(2):
-            width = int(rng.integers(1, 25))
-            offset = int(rng.integers(0, 6))
-            masses = rng.random(width) + 1e-3
-            ps.append(Pmf.from_masses(offset, masses / masses.sum()))
-        p, q = ps
-        tv = float(total_variation(p, q))
-        dw = float(wasserstein(p, q))
-        assert tv <= 2.0 * dw + 1e-10
-        assert dw >= abs(mean_var(p)[0] - mean_var(q)[0]) - 1e-10
+    # The metrics suite, with slack 1e-10: two rows per pair of random pmfs.
+    rows = run_suite("metrics", seed=99)
+    assert len(rows) == 2000
+    assert all(row["holds"] for row in rows)
 
 
 # ----------------------------------------------------------- moments

@@ -20,7 +20,6 @@ from depthlab.distributions import (
     total_variation,
 )
 from depthlab.exact_depth import (
-    _JD_BLOCK_ROWS,
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
     CapExceededError,
@@ -37,6 +36,7 @@ from depthlab.exact_depth import (
     predecessor_joint,
     rank_to_key,
 )
+from depthlab.mixing import harmonic_mixing_measure, measure_variance
 
 
 # ------------------------------------------------------------ joint grid
@@ -164,19 +164,6 @@ def test_extreme_keys_at_large_n_are_shifted_record_laws():
         p = exact_depth_pmf(n, l)
         assert float(total_variation(p, rec)) < 1e-13, l
         assert p.truncated_tail < 1e-20, l
-
-
-def test_mixing_variance_report_streams_banded_blocks():
-    n, l = 4096, 2048
-    mixing_variance_report(n, l)  # fill the table caches outside the trace
-    tracemalloc.start()
-    try:
-        mixing_variance_report(n, l)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # Below one dense block of rows; the full location grid is 33.6 MB.
-    assert peak < _JD_BLOCK_ROWS * (n - l + 1) * 8
 
 
 # ------------------------------------------------------------ exact pmf
@@ -383,11 +370,35 @@ def mpmath_mixing_variance(n, l, dps=40):
 
 def test_mixing_variance_matches_mpmath_at_baseline_point():
     baseline = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
-    n, l = baseline["mixing_variance_max"]["at"]
-    total, var = mpmath_mixing_variance(n, l)
-    assert abs(total - 1) < 1e-30
-    assert abs(mixing_variance_report(n, l).lhs - float(var)) < 1e-12
-    assert abs(baseline["mixing_variance_max"]["value"] - float(var)) < 1e-15
+    at = tuple(baseline["mixing_variance_max"]["at"])
+    # (300, 2) and (300, 299) have l - 1 = 1 and n - l = 1: the shortest sums.
+    for n, l in (at, (300, 2), (300, 299)):
+        total, var = mpmath_mixing_variance(n, l)
+        assert abs(total - 1) < 1e-30
+        assert abs(mixing_variance_report(n, l).lhs - float(var)) < 1e-12, (n, l)
+        if (n, l) == at:
+            assert abs(baseline["mixing_variance_max"]["value"] - float(var)) < 1e-15
+
+
+def test_mixing_variance_matches_harmonic_measure_grid():
+    # The closed form against the variance of the H_i + H_j grid measure.
+    for n in range(1, 41):
+        for l in range(1, n + 1):
+            grid = measure_variance(harmonic_mixing_measure(n, l, predecessor_joint(n, l)))
+            assert abs(mixing_variance_report(n, l).lhs - grid) < 1e-12, (n, l)
+
+
+def test_mixing_variance_report_memory_is_linear_in_n():
+    n, l = 4096, 2048
+    mixing_variance_report(n, l)  # fill the table caches outside the trace
+    tracemalloc.start()
+    try:
+        mixing_variance_report(n, l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One pass over the shorter side; the location grid would be 33.6 MB.
+    assert peak < 4 * n * 8
 
 
 # ------------------------------------------------------------ hypergeometric bound
