@@ -43,6 +43,8 @@ __all__ = [
 DEFAULT_TAIL_TOL = 1e-12
 
 _NORMALIZATION_TOL = 1e-9
+# BoundReport.check counts lhs <= rhs + _BOUND_SLACK as holding.
+_BOUND_SLACK = 1e-12
 _TAIL_LIMIT = 1e-9
 
 
@@ -69,7 +71,7 @@ class Pmf:
     """Probability mass function on integers >= offset with tail bookkeeping.
 
     Invariants (checked at construction):
-      * every mass lies in [0, 1],
+      * every mass lies in [0, 1], so NaN and infinite masses are rejected,
       * sum(masses) + truncated_tail = 1 up to 1e-9,
       * truncated_tail stays below 1e-9.
     """
@@ -84,14 +86,15 @@ class Pmf:
             raise ValueError("masses must be a nonempty 1-D array")
         if self.offset < 0:
             raise ValueError(f"offset must be >= 0, got {self.offset}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0 + 1e-12):
+        # Written so that NaN, which fails every comparison, fails each check.
+        if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0 + 1e-12):
             raise ValueError("masses must lie in [0, 1]")
         if not 0.0 <= self.truncated_tail <= _TAIL_LIMIT * (1 + 1e-6):
             raise ValueError(
                 f"truncated_tail {self.truncated_tail!r} outside [0, {_TAIL_LIMIT}]"
             )
         total = math.fsum(arr.tolist()) + self.truncated_tail
-        if abs(total - 1.0) > _NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(f"masses + tail sum to {total!r}, expected 1")
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
@@ -104,14 +107,13 @@ class Pmf:
         truncated_tail: float = 0.0,
     ) -> "Pmf":
         """Build a Pmf, clamping negative rounding dust and trimming zero ends."""
-        arr = np.asarray(masses, dtype=np.float64).copy()
+        arr = np.array(masses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("masses must be a nonempty 1-D array")
-        tiny = arr < 0.0
-        if np.any(arr[tiny] < -1e-12):
-            raise ValueError("masses must be nonnegative")
-        arr[tiny] = 0.0
-        nz = np.flatnonzero(arr)
+        if not np.minimum.reduce(arr) >= -1e-12:
+            raise ValueError("masses must be nonnegative and not NaN")
+        np.maximum(arr, 0.0, out=arr)
+        nz = arr.nonzero()[0]
         if nz.size == 0:
             # All mass was dropped; keep a single zero cell at the offset.
             return cls(offset, np.zeros(1), truncated_tail)
@@ -192,7 +194,7 @@ class BoundReport:
     def check(cls, lhs: float, rhs: float) -> "BoundReport":
         lhs = float(lhs)
         rhs = float(rhs)
-        return cls(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, margin=rhs - lhs)
+        return cls(lhs=lhs, rhs=rhs, holds=lhs <= rhs + _BOUND_SLACK, margin=rhs - lhs)
 
 
 def harmonic_table(n_max: int) -> HarmonicTable:
@@ -303,11 +305,20 @@ def _validate_tol(tol: float) -> None:
 
 
 def _poisson_support(lam: float, tol: float) -> int:
-    """Smallest k_max with P(Poisson(lam) > k_max) < tol, searched upwards from k = int(lam)."""
-    k_max = int(lam)
-    while pdtrc(k_max, lam) >= tol:
-        k_max += 1
-    return k_max
+    """Smallest k_max >= int(lam) with P(Poisson(lam) > k_max) < tol.
+
+    The tail is evaluated on blocks of 16 + 12 sqrt(lam) candidates from
+    k = int(lam) upwards, one pdtrc call per block, and the first candidate
+    below tol is returned.  At tol >= 1e-15 the first block held the answer
+    for every lambda in the tests; smaller tols may take further blocks.
+    """
+    k0 = int(lam)
+    width = 16 + int(12.0 * math.sqrt(lam))
+    while True:
+        below = pdtrc(np.arange(k0, k0 + width), lam) < tol
+        if below.any():
+            return k0 + int(below.argmax())
+        k0 += width
 
 
 def poisson_pmf(lam: float, tol: float = DEFAULT_TAIL_TOL) -> Pmf:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _all_permutations
+from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln
@@ -37,6 +38,7 @@ from .distributions import (
     shared_harmonic_table,
     total_variation,
     wasserstein,
+    _BOUND_SLACK,
     _pow2_at_least,
     _record_laws,
     _validate_nl,
@@ -71,6 +73,10 @@ DEFAULT_N_CAP = 32768
 BRUTE_FORCE_CAP = 9
 
 _JD_BLOCK_ROWS = 256
+
+# Cells per chunk of the batched Lemma 5 rows: a few float64 arrays of this
+# size (2 MiB each) are alive at once, whatever N is.
+_HYPERGEOM_CHUNK_CELLS = 1 << 18
 
 # The banded grid walk steps through columns in chunks of this many
 # conditional standard deviations of j given i, and at least _JD_MIN_CHUNK.
@@ -131,18 +137,29 @@ class MoveJoint:
         return Pmf.from_masses(0, self.grid.sum(axis=0), self.truncated_tail)
 
     def depth_pmf(self) -> Pmf:
-        r, s = self.grid.shape
-        diag = np.add.outer(np.arange(r), np.arange(s)).ravel()
-        masses = np.bincount(diag, weights=self.grid.ravel())
+        masses = np.bincount(_antidiagonals(*self.grid.shape), weights=self.grid.ravel())
         return Pmf.from_masses(0, masses, self.truncated_tail)
 
 
 @lru_cache(maxsize=8)
-def _ln_table(n: int) -> np.ndarray:
-    """log k! for k = 0..n."""
-    t = gammaln(np.arange(1.0, n + 2.0))
+def _antidiagonals(r: int, s: int) -> np.ndarray:
+    """i + j for each cell (i, j) of a flattened r x s grid: the depth bin it folds into."""
+    diag = np.add.outer(np.arange(r), np.arange(s)).ravel()
+    diag.flags.writeable = False
+    return diag
+
+
+@lru_cache(maxsize=8)
+def _ln_table(n_pow2: int) -> np.ndarray:
+    """log k! for k = 0..n_pow2."""
+    t = gammaln(np.arange(1.0, n_pow2 + 2.0))
     t.flags.writeable = False
     return t
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, a prefix of the cached table sized by _pow2_at_least(n)."""
+    return _ln_table(_pow2_at_least(n))[: n + 1]
 
 
 def _jd_blocks(n: int, l: int, banded: bool = True):
@@ -165,7 +182,7 @@ def _jd_blocks(n: int, l: int, banded: bool = True):
     the log-gamma rounding of the closed form.  Without ``banded`` every
     column is evaluated and ``tail`` is zero.
     """
-    lf = _ln_table(n)
+    lf = _log_factorials(n)
     width = n - l + 1
     a = (-math.log(n) - lf[n - 1] + lf[l - 1] + lf[n - l]) - (lf[:l] + lf[l - 1 :: -1])
     b = -(lf[:width] + lf[width - 1 :: -1])
@@ -426,7 +443,7 @@ def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
     k_lo = max(0, n - (N - M))
     k_hi = min(n, M)
     ks = np.arange(k_lo, k_hi + 1)
-    lf = _ln_table(N)
+    lf = _log_factorials(N)
     pmf = np.exp(
         (lf[M] - lf[ks] - lf[M - ks]) + (lf[N - M] - lf[n - ks] - lf[N - M - n + ks])
         - (lf[N] - lf[n] - lf[N - n])
@@ -437,6 +454,42 @@ def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
     )
     rhs = 4.0 * N * math.log(N) / (n * M) + 2.0 * math.sqrt(N / (n * M))
     return BoundReport.check(lhs, rhs)
+
+
+def _hypergeometric_log_bound_rows(N: int) -> Iterator[tuple[int, int, float, float, bool]]:
+    """(M, n, lhs, rhs, holds) of hypergeometric_log_bound_report(N, M, n)
+    for M, n = 1..N, n fastest.
+
+    Each chunk of rows is one rectangle of cells (row, k), k = 1..N, with
+    the report's table lookups and elementwise operations in the same
+    order, so every row is bit-identical.  Lookups off the support
+    max(1, n+M-N) <= k <= min(n, M) are clipped into the table, and those
+    cells are set to log 0 before the exp so that they add 0.0 to their
+    row's fsum.  A chunk holds at most _HYPERGEOM_CHUNK_CELLS cells.
+    """
+    lf = _log_factorials(N)
+    ks = np.arange(1, N + 1)
+    scale = 4.0 * N * math.log(N)
+    step = max(1, _HYPERGEOM_CHUNK_CELLS // N)
+    for r0 in range(0, N * N, step):
+        r = np.arange(r0, min(r0 + step, N * N))
+        M, n = r[:, None] // N + 1, r[:, None] % N + 1
+        w = lf[M] - lf[ks]
+        w -= lf.take(M - ks, mode="clip")
+        other = lf[N - M] - lf.take(n - ks, mode="clip")
+        other -= lf.take(N - M - n + ks, mode="clip")
+        w += other
+        w -= (lf[N] - lf[n]) - lf[N - n]
+        w[(ks < n + M - N) | (ks > np.minimum(n, M))] = -np.inf
+        np.exp(w, out=w)
+        ratio = ks / (n * M / N)
+        np.log(ratio, out=ratio)
+        w *= np.abs(ratio, out=ratio)
+        lhs = np.array([math.fsum(terms.tolist()) for terms in w])
+        nm = (n * M).ravel()
+        rhs = scale / nm + 2.0 * np.sqrt(N / nm)
+        yield from zip(M.ravel().tolist(), n.ravel().tolist(), lhs.tolist(), rhs.tolist(),
+                       (lhs <= rhs + _BOUND_SLACK).tolist())
 
 
 @lru_cache(maxsize=16)

@@ -47,8 +47,9 @@ EULER_GAMMA = 0.5772156649015328606
 class DiscreteMeasure:
     """Finite discrete probability measure on [0, inf).
 
-    Locations are sorted and coalesced at construction; weights are
-    nonnegative and sum to one within 1e-12.
+    Locations are sorted and coalesced at construction; locations and
+    weights are finite and nonnegative, and the weights sum to one within
+    1e-12.
     """
 
     locations: np.ndarray
@@ -59,10 +60,10 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=np.float64)
         if loc.shape != w.shape or loc.ndim != 1 or loc.size == 0:
             raise ValueError("locations and weights must be matching 1-D arrays")
-        if np.any(loc < 0.0):
-            raise ValueError("locations must be >= 0")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be >= 0")
+        if not (np.isfinite(loc).all() and np.minimum.reduce(loc) >= 0.0):
+            raise ValueError("locations must be finite and >= 0")
+        if not (np.isfinite(w).all() and np.minimum.reduce(w) >= 0.0):
+            raise ValueError("weights must be finite and >= 0")
         loc, inverse = np.unique(loc, return_inverse=True)
         merged = np.zeros(loc.size)
         np.add.at(merged, inverse, w)

@@ -17,11 +17,11 @@ from .exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
     CapExceededError,
+    _hypergeometric_log_bound_rows,
     brute_force_depth_pmf,
     depth_mean,
     depth_variance,
     exact_depth_pmf,
-    hypergeometric_log_bound_report,
     mixing_variance_report,
     mixpo_distance,
     move_joint_pmf,
@@ -130,10 +130,9 @@ def _lemma4b(sw: _Sweep) -> Checks:
 
 def _lemma5(sw: _Sweep) -> Checks:
     for N in sw.sizes(80):
-        for M in range(1, N + 1):  # cases with n * M = 0 are skipped
-            for n_draw in range(1, N + 1):
-                rep = hypergeometric_log_bound_report(N, M, n_draw)
-                yield {"N": N, "M": M, "n": n_draw}, rep.lhs, rep.rhs, rep.holds
+        # M, n = 1..N: cases with n * M = 0 are skipped.
+        for M, n_draw, lhs, rhs, holds in _hypergeometric_log_bound_rows(N):
+            yield {"N": N, "M": M, "n": n_draw}, lhs, rhs, holds
 
 
 def _random_pmf(rng: np.random.Generator) -> Pmf:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import pdtrc
 
 import depthlab
 from depthlab.distributions import (
@@ -91,6 +92,15 @@ def test_pmf_validates_normalization():
         Pmf(-1, np.array([1.0]))
     with pytest.raises(ValueError):
         Pmf(0, np.array([1.2, -0.2]))
+
+
+def test_pmf_rejects_non_finite_masses():
+    for masses in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0]):
+        with pytest.raises(ValueError):
+            Pmf(0, np.array(masses))
+    for masses in ([math.nan, 0.5, 0.5], [0.5, math.inf], [0.5, 0.5, -math.inf]):
+        with pytest.raises(ValueError):
+            Pmf.from_masses(0, masses)
 
 
 def test_pmf_trims_and_clamps():
@@ -295,6 +305,22 @@ def test_poisson_pmf_equals_scipy_stats_oracle():
             assert p.offset == ref.offset and p.support_max == ref.support_max, (lam, tol)
             assert np.array_equal(p.masses, ref.masses), (lam, tol)
             assert p.truncated_tail == ref.truncated_tail, (lam, tol)
+
+
+def scalar_poisson_support(lam, tol):
+    """Oracle: one scalar pdtrc call per k, upwards from int(lam)."""
+    k = int(lam)
+    while pdtrc(k, lam) >= tol:
+        k += 1
+    return k
+
+
+def test_poisson_support_equals_scalar_search():
+    rng = np.random.default_rng(12)
+    lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 2000)).tolist(), 1e3, 1e5]
+    for lam in lams:
+        for tol in (1e-9, 1e-12, 1e-15):
+            assert _poisson_support(lam, tol) == scalar_poisson_support(lam, tol), (lam, tol)
 
 
 def test_import_does_not_load_scipy_stats():

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.special import gammaln
 from depthlab import exact_depth
 from depthlab.distributions import (
     Pmf,
+    _pow2_at_least,
     mean_var,
     record_count_pmf,
     total_variation,
@@ -23,7 +25,11 @@ from depthlab.exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
     CapExceededError,
+    _HYPERGEOM_CHUNK_CELLS,
+    _hypergeometric_log_bound_rows,
     _jd_blocks,
+    _ln_table,
+    _log_factorials,
     brute_force_depth_pmf,
     depth_mean,
     depth_variance,
@@ -37,6 +43,7 @@ from depthlab.exact_depth import (
     rank_to_key,
 )
 from depthlab.mixing import harmonic_mixing_measure, measure_variance
+from depthlab.verify import run_suite
 
 
 # ------------------------------------------------------------ joint grid
@@ -426,6 +433,43 @@ def test_hypergeom_bound_domain():
         hypergeometric_log_bound_report(2, 0, 1)
     with pytest.raises(ValueError):
         hypergeometric_log_bound_report(2, 3, 1)
+
+
+def test_lemma5_rows_equal_the_per_row_report():
+    rows = run_suite("lemma5", n_max=40)
+    expected = [(N, M, n) for N in range(1, 41) for M in range(1, N + 1) for n in range(1, N + 1)]
+    assert [(r["params"]["N"], r["params"]["M"], r["params"]["n"]) for r in rows] == expected
+    for r in rows:
+        rep = hypergeometric_log_bound_report(r["params"]["N"], r["params"]["M"], r["params"]["n"])
+        assert (r["lhs"], r["rhs"], r["holds"]) == (rep.lhs, rep.rhs, rep.holds), r["params"]
+
+
+def test_lemma5_rows_memory_is_one_chunk():
+    N = 2000
+    rows = _HYPERGEOM_CHUNK_CELLS // N  # the first chunk
+    _log_factorials(N)  # fill the table cache outside the trace
+    tracemalloc.start()
+    try:
+        got = list(islice(_hypergeometric_log_bound_rows(N), rows))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(M, n) for M, n, *_ in got[:2]] == [(1, 1), (1, 2)] and len(got) == rows
+    # A few chunk-sized float64 arrays; one M's slab of N * N cells would be 32 MB.
+    assert peak < 6 * _HYPERGEOM_CHUNK_CELLS * 8
+    M, n, lhs, rhs, holds = got[-1]
+    rep = hypergeometric_log_bound_report(N, M, n)
+    assert (lhs, rhs, holds) == (rep.lhs, rep.rhs, rep.holds)
+
+
+def test_log_factorials_are_prefixes_of_one_table_per_power_of_two():
+    for n in (0, 1, 2, 3, 5, 8, 9, 40, 200, 1000, 1025):
+        got = _log_factorials(n)
+        assert got.tobytes() == gammaln(np.arange(1, n + 2)).tobytes(), n
+    _ln_table.cache_clear()
+    for n in range(1, 201):
+        _log_factorials(n)
+    assert _ln_table.cache_info().misses == len({_pow2_at_least(n) for n in range(1, 201)})
 
 
 # ------------------------------------------------------------ brute force

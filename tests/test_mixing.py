@@ -67,6 +67,20 @@ def test_discrete_measure_validation():
         DiscreteMeasure(np.array([1.0]), np.array([0.5]))
 
 
+def test_discrete_measure_rejects_non_finite_atoms():
+    with pytest.raises(ValueError):
+        DiscreteMeasure([1.0, math.nan], [math.nan, 1.0])
+    with pytest.raises(ValueError):
+        DiscreteMeasure([1.0, math.nan], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        DiscreteMeasure([1.0, 2.0], [math.nan, 1.0])
+    # An infinite rate used to pass and fail later in mixed_poisson_pmf.
+    with pytest.raises(ValueError):
+        DiscreteMeasure([1.0, math.inf], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        DiscreteMeasure([1.0, 2.0], [math.inf, 0.5])
+
+
 def test_measure_json_tags():
     disc = DiscreteMeasure.from_atoms([(0.0, 0.5), (2.0, 0.5)])
     assert disc.to_json_dict() == {"variant": "discrete", "atoms": [[0.0, 0.5], [2.0, 0.5]]}
