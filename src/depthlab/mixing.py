@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .distributions import (
     DEFAULT_TAIL_TOL,
     HarmonicTable,
     Pmf,
-    _poisson_kernel,
+    _poisson_terms,
     _poisson_support,
     _validate_tol,
     shared_harmonic_table,
@@ -64,10 +63,18 @@ class DiscreteMeasure:
             raise ValueError("locations must be finite and >= 0")
         if not (np.isfinite(w).all() and np.minimum.reduce(w) >= 0.0):
             raise ValueError("weights must be finite and >= 0")
-        loc, inverse = np.unique(loc, return_inverse=True)
-        merged = np.zeros(loc.size)
-        np.add.at(merged, inverse, w)
-        w = merged
+        # The stable sort keeps equal locations in input order, so np.add.at
+        # sums their weights in input order, as merging the unsorted input
+        # with np.unique's inverse would.  + 0.0 turns a -0.0 weight into 0.0,
+        # as that merge does.
+        order = np.argsort(loc, kind="stable")
+        loc, w = loc[order], w[order] + 0.0
+        first = loc[1:] != loc[:-1]
+        if not first.all():
+            first = np.concatenate(([True], first))
+            merged = np.zeros(np.count_nonzero(first))
+            np.add.at(merged, np.cumsum(first) - 1, w)
+            loc, w = loc[first], merged
         if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         loc.flags.writeable = False
@@ -179,8 +186,8 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     Poisson pmfs.  For the reflected-exponential measure the density part
     gives mass e^(-c/2) 2^k P(Poisson(c/2) > k) at k, and the atom at 0 adds
     e^(-c/2) to the mass at 0.  The support is cut where the tail of the
-    dominating Poisson(rate upper bound), pdtrc from scipy.special, drops
-    below tol.  A discrete mixture books its own tail past the cut; the
+    dominating Poisson(rate upper bound), from distributions._poisson_terms,
+    drops below tol.  A discrete mixture books its own tail past the cut; the
     reflected mixture books the Poisson(c) tail, which bounds its own
     because every rate is at most c.
     """
@@ -190,19 +197,17 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
         if lam_max == 0.0:
             return Pmf.delta(0)
         k_max = _poisson_support(lam_max, tol)
-        kern = _poisson_kernel(measure.locations, k_max)
-        masses = measure.weights @ kern
-        tail = float(np.dot(measure.weights, pdtrc(k_max, measure.locations)))
-        return Pmf.from_masses(0, masses, tail)
+        masses, tails = _poisson_terms(measure.locations, k_max, measure.weights)
+        return Pmf.from_masses(0, masses, float(tails[-1]))
 
     if measure.degenerate:
         return Pmf.delta(0)
     c = measure.c
     k_max = _poisson_support(c, tol)
     ks = np.arange(k_max + 1)
-    masses = np.ldexp(pdtrc(ks, c / 2.0), ks) * math.exp(-c / 2.0)
+    masses = np.ldexp(_poisson_terms(c / 2.0, k_max)[1], ks) * math.exp(-c / 2.0)
     masses[0] += measure.atom_at_zero
-    return Pmf.from_masses(0, masses, float(pdtrc(k_max, c)))
+    return Pmf.from_masses(0, masses, float(_poisson_terms(c, k_max)[1][-1]))
 
 
 def measure_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; loaded here, the cost falls in import, not in a draw
 
 from .distributions import Pmf, _validate_nl
 from .trees import Permutation

@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import depthlab
 from depthlab import cli, verify
 from depthlab.cli import run
 
@@ -367,3 +372,39 @@ def test_depth_plot_bad_file(tmp_path):
 def test_depth_plot_needs_source():
     code, _ = run_cli(["depth-plot"])
     assert code == 2
+
+
+# ------------------------------------------------------------- run time
+
+
+def test_commands_run_without_scipy():
+    # A fresh interpreter that imports this same depthlab: the import loads
+    # numpy.random (numpy loads it lazily), and no command loads scipy.
+    src = str(Path(depthlab.__file__).resolve().parents[1])
+    code = textwrap.dedent(
+        """
+        import io, json, sys
+        import depthlab.cli
+        random_at_import = "numpy.random" in sys.modules
+        argvs = [
+            ["exact", "--n", "60", "--l", "25"],
+            ["approx", "--n", "200", "--t", "0.5"],
+            ["simulate", "--route", "bst", "--n", "60", "--l", "25", "--samples", "200", "--seed", "1"],
+            ["verify", "--suite", "lemma4b", "--trials", "20", "--seed", "1"],
+        ]
+        codes = [depthlab.cli.run(argv, out=io.StringIO()) for argv in argvs]
+        scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+        print(json.dumps({"random_at_import": random_at_import, "codes": codes, "scipy": scipy}))
+        """
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    doc = json.loads(out)
+    assert doc["random_at_import"] is True
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["scipy"] == []

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 
 import depthlab
 from depthlab.distributions import (
     BoundReport,
     Pmf,
     _poisson_support,
+    _poisson_terms,
     _record_laws,
     convolve,
     harmonic_table,
@@ -291,6 +292,17 @@ def scipy_stats_poisson_support(lam, tol):
     return k_max
 
 
+def poisson_exp_rtol(lam, ks):
+    """Relative error allowed in a Poisson mass or tail at k against scipy.
+
+    Both sides take exp() of k log lam - log k! - lam, whose rounding is a few
+    ulps of its largest part; this allows 4 ulps of their sum at k + 1 (the
+    first term of the tail at k).  Measured: at most 2.6 ulps of it.
+    """
+    ks = np.asarray(ks)
+    return 4 * np.finfo(np.float64).eps * (1 + lam + (ks + 1) * np.abs(np.log(lam)) + gammaln(ks + 2))
+
+
 def test_poisson_pmf_equals_scipy_stats_oracle():
     for lam in (1e-9, 0.3, math.log(2), 7.5, 20.0, 500.0):
         for tol in (1e-9, 1e-12, 1e-15):
@@ -303,8 +315,10 @@ def test_poisson_pmf_equals_scipy_stats_oracle():
             )
             p = poisson_pmf(lam, tol)
             assert p.offset == ref.offset and p.support_max == ref.support_max, (lam, tol)
-            assert np.array_equal(p.masses, ref.masses), (lam, tol)
-            assert p.truncated_tail == ref.truncated_tail, (lam, tol)
+            rtol = poisson_exp_rtol(lam, np.arange(k_max + 1))
+            assert np.all(np.abs(p.masses - ref.masses) <= rtol * ref.masses), (lam, tol)
+            tail_err = abs(p.truncated_tail - ref.truncated_tail)
+            assert tail_err <= rtol[-1] * ref.truncated_tail, (lam, tol)
 
 
 def scalar_poisson_support(lam, tol):
@@ -323,6 +337,37 @@ def test_poisson_support_equals_scalar_search():
             assert _poisson_support(lam, tol) == scalar_poisson_support(lam, tol), (lam, tol)
 
 
+def test_poisson_tails_match_pdtrc():
+    # The rates of test_poisson_support_equals_scalar_search, at every k up
+    # to the support at tol 1e-15, within poisson_exp_rtol.
+    rng = np.random.default_rng(12)
+    lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 2000)).tolist(), 1e3, 1e5]
+    for lam in lams:
+        k_max = _poisson_support(lam, 1e-15)
+        ks = np.arange(k_max + 1)
+        tails = _poisson_terms(lam, k_max)[1]
+        ref = pdtrc(ks, lam)
+        assert np.all(np.abs(tails - ref) <= poisson_exp_rtol(lam, ks) * ref), lam
+    # One k at an array of rates, as a discrete mixture's tail.  Tails below
+    # 1e-290 are left out: near the subnormal range they lose relative precision.
+    rates = np.array(lams[:-2])
+    for k in (0, 5, 30, 80, 200):
+        tails = _poisson_terms(rates, k)[1][-1]
+        ref = pdtrc(k, rates)
+        normal = ref >= 1e-290
+        assert np.all(np.abs(tails - ref)[normal] <= (poisson_exp_rtol(rates, k) * ref)[normal]), k
+        assert np.all(tails[~normal] < 1e-289), k
+
+
+def test_poisson_terms_with_a_zero_rate():
+    masses, tails = _poisson_terms(np.array([0.0, 2.0]), 6)
+    assert masses[:, 0].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
+    assert tails[:, 0].tolist() == [0.0] * 7
+    single_masses, single_tails = _poisson_terms(2.0, 6)
+    np.testing.assert_allclose(masses[:, 1], single_masses, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(tails[:, 1], single_tails, rtol=1e-15, atol=0)
+
+
 def test_import_does_not_load_scipy_stats():
     # A fresh interpreter that imports this same depthlab: scipy.stats alone
     # costs about a second of import time.
@@ -336,6 +381,12 @@ def test_import_does_not_load_scipy_stats():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "False"
+
+
+def test_poisson_pmf_rejects_non_finite_lambda():
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            poisson_pmf(lam)
 
 
 def test_poisson_domain_errors():

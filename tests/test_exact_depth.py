@@ -463,13 +463,21 @@ def test_lemma5_rows_memory_is_one_chunk():
 
 
 def test_log_factorials_are_prefixes_of_one_table_per_power_of_two():
+    largest = _ln_table(_pow2_at_least(1025))
     for n in (0, 1, 2, 3, 5, 8, 9, 40, 200, 1000, 1025):
         got = _log_factorials(n)
-        assert got.tobytes() == gammaln(np.arange(1, n + 2)).tobytes(), n
+        assert got.tobytes() == largest[: n + 1].tobytes(), n
     _ln_table.cache_clear()
     for n in range(1, 201):
         _log_factorials(n)
     assert _ln_table.cache_info().misses == len({_pow2_at_least(n) for n in range(1, 201)})
+
+
+def test_ln_table_within_4_ulps_of_gammaln():
+    table = _ln_table(1 << 15)
+    ref = gammaln(np.arange(1.0, (1 << 15) + 2.0))
+    assert table[:2].tolist() == [0.0, 0.0]
+    assert np.all(np.abs(table - ref) <= 4 * np.spacing(ref))
 
 
 # ------------------------------------------------------------ brute force

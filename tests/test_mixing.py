@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 from scipy import stats
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from depthlab.distributions import (
     Pmf,
@@ -58,6 +58,25 @@ def test_discrete_measure_constructor_sorts_and_merges():
     unsorted = DiscreteMeasure(np.array([5.0, 1.0]), np.array([0.5, 0.5]))
     spread = DiscreteMeasure.from_atoms([(0.0, 0.5), (10.0, 0.5)])
     assert measure_wasserstein(unsorted, spread) == pytest.approx(3.0, abs=1e-15)
+
+
+def test_discrete_measure_stores_the_unique_merge_bit_for_bit():
+    # Sorted and distinct, unsorted, and with duplicates: the stored arrays are
+    # those np.unique plus np.add.at give, and the caller's arrays stay writeable.
+    cases = [
+        ([0.0, 0.5, 2.0, 7.25], [0.1, -0.0, 0.5, 0.4]),
+        ([7.25, 0.0, 2.0, 0.5], [0.4, 0.1, 0.3, 0.2]),
+        ([2.0, 0.5, 2.0, 0.0, 0.5, 2.0], [0.1, 0.2, 0.3, 0.15, 0.05, 0.2]),
+    ]
+    for locations, weights in cases:
+        loc, w = np.array(locations), np.array(weights)
+        ref_loc, inverse = np.unique(loc, return_inverse=True)
+        ref_w = np.zeros(ref_loc.size)
+        np.add.at(ref_w, inverse, w)
+        m = DiscreteMeasure(loc, w)
+        assert m.locations.tobytes() == ref_loc.tobytes(), locations
+        assert m.weights.tobytes() == ref_w.tobytes(), locations
+        assert loc.flags.writeable and w.flags.writeable
 
 
 def test_discrete_measure_validation():
@@ -176,7 +195,7 @@ def _gl_panel(c: float, a: float, b: float, k_max: int) -> np.ndarray:
     lam = mid + half * x
     kern = _poisson_kernel(lam, k_max)
     dens = 0.5 * np.exp(-(c - lam) / 2.0)
-    return half * ((w * dens) @ kern)
+    return half * (kern @ (w * dens))
 
 
 def _adaptive_gl(c: float, a: float, b: float, k_max: int, tol: float, depth: int = 0) -> np.ndarray:
@@ -212,7 +231,7 @@ def scipy_stats_mixed_poisson_pmf(measure, tol):
 
     if isinstance(measure, DiscreteMeasure):
         k_max = support(float(measure.locations[-1]))
-        masses = measure.weights @ _poisson_kernel(measure.locations, k_max)
+        masses = measure.weights @ stats.poisson.pmf(np.arange(k_max + 1), measure.locations[:, None])
         tail = float(np.dot(measure.weights, stats.poisson.sf(k_max, measure.locations)))
         return k_max, Pmf.from_masses(0, masses, tail)
     k_max = support(measure.c)
@@ -237,9 +256,15 @@ def test_mixpo_equals_scipy_stats_oracle():
         assert _poisson_support(lam_max, tol) == k_max, (measure, tol)
         p = mixed_poisson_pmf(measure, tol)
         assert p.offset == ref.offset and p.support_max == ref.support_max, (measure, tol)
-        assert p.truncated_tail == ref.truncated_tail, (measure, tol)
+        # 4 ulps of the largest part of the exp() argument k log lam - log k! - lam,
+        # at k_max + 1 and the rate where it is largest, as test_distributions allows.
+        rates = np.array([measure.c]) if isinstance(measure, ReflectedExponential) else measure.locations
+        rates = rates[rates > 0]
+        scale = 1 + rates + (k_max + 1) * np.abs(np.log(rates)) + gammaln(k_max + 2)
+        rtol = 4 * np.finfo(np.float64).eps * float(scale.max())
+        assert abs(p.truncated_tail - ref.truncated_tail) <= rtol * ref.truncated_tail, (measure, tol)
         if isinstance(measure, DiscreteMeasure):
-            assert np.array_equal(p.masses, ref.masses), (measure, tol)
+            assert np.all(np.abs(p.masses - ref.masses) <= rtol * ref.masses), (measure, tol)
         else:
             # Closed form against quadrature: two computations, so rounding differs.
             np.testing.assert_allclose(p.masses, ref.masses, rtol=0.0, atol=1e-14, err_msg=str((measure, tol)))
