@@ -186,8 +186,6 @@ def cmd_verify(args, out) -> int:
 
 def cmd_simulate(args, out) -> int:
     seed = _resolve_seed(args)
-    if args.route != "key" and args.l is None:
-        raise ValueError(f"route {args.route!r} requires --l")
     samples = collect_samples(
         args.route, args.n, args.l, args.samples, seed=seed, streams=args.streams
     )

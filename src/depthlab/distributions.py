@@ -329,10 +329,10 @@ def convolve(p: Pmf, q: Pmf) -> Pmf:
     return Pmf.from_masses(p.offset + q.offset, masses, tail)
 
 
-def _validate_nl(n: int, l: int) -> None:
+def _validate_nl(n: int, l: int | None) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= l <= n:
+    if l is None or not 1 <= l <= n:
         raise ValueError(f"l must be in 1..{n}, got {l}")
 
 
@@ -400,21 +400,24 @@ def _poisson_terms(lam, k_max: int, weights=None) -> tuple[np.ndarray, np.ndarra
     return terms[: k_max + 1], tails
 
 
-def _poisson_support(lam: float, tol: float) -> int:
-    """Smallest k_max >= int(lam) with P(Poisson(lam) > k_max) < tol.
+def _poisson_truncated(lam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """P(X = k) and P(X > k) for k = 0..k_max, X ~ Poisson(lam), where k_max
+    is the smallest k >= int(lam) with P(X > k) < tol.
 
     The tail is evaluated on blocks of 16 + 12 sqrt(lam) candidates from
-    k = int(lam) upwards, one _poisson_terms call per block, and the first
-    candidate below tol is returned.  At tol >= 1e-15 the first block held
-    the answer for every lambda in the tests; smaller tols may take further
-    blocks.
+    k = int(lam) upwards, one _poisson_terms call per block, and the block
+    holding the first candidate below tol is returned, cut at it.  At
+    tol >= 1e-15 the first block held the answer for every lambda in the
+    tests; smaller tols may take further blocks.
     """
     k0 = int(lam)
     width = 16 + int(12.0 * math.sqrt(lam))
     while True:
-        below = _poisson_terms(lam, k0 + width - 1)[1][k0:] < tol
+        masses, tails = _poisson_terms(lam, k0 + width - 1)
+        below = tails[k0:] < tol
         if below.any():
-            return k0 + int(below.argmax())
+            k_max = k0 + int(below.argmax())
+            return masses[: k_max + 1], tails[: k_max + 1]
         k0 += width
 
 
@@ -425,7 +428,7 @@ def poisson_pmf(lam: float, tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     _validate_tol(tol)
     if lam == 0.0:
         return Pmf.delta(0)
-    masses, tails = _poisson_terms(lam, _poisson_support(lam, tol))
+    masses, tails = _poisson_truncated(lam, tol)
     return Pmf.from_masses(0, masses, float(tails[-1]))
 
 

@@ -31,7 +31,6 @@ import numpy as np
 from .distributions import (
     BoundReport,
     Distance,
-    HarmonicTable,
     Pmf,
     poisson_pmf,
     shared_harmonic_table,
@@ -313,19 +312,17 @@ def move_joint_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> MoveJoint:
     return MoveJoint(n=n, l=l, grid=grid, truncated_tail=tail)
 
 
-def depth_mean(n: int, l: int, h: HarmonicTable | None = None) -> float:
+def depth_mean(n: int, l: int) -> float:
     """Closed-form expected depth H_l + H_{n+1-l} - 2."""
     _validate_nl(n, l)
-    if h is None:
-        h = shared_harmonic_table(n)
+    h = shared_harmonic_table(n)
     return float(h.H[l] + h.H[n + 1 - l] - 2.0)
 
 
-def depth_variance(n: int, l: int, h: HarmonicTable | None = None) -> float:
+def depth_variance(n: int, l: int) -> float:
     """Closed-form depth variance in terms of harmonic numbers."""
     _validate_nl(n, l)
-    if h is None:
-        h = shared_harmonic_table(n)
+    h = shared_harmonic_table(n)
     a = 2.0 * (n + 1) / (l * (n + 1 - l))
     return float(
         a * h.H[n]

@@ -17,10 +17,9 @@ import numpy as np
 
 from .distributions import (
     DEFAULT_TAIL_TOL,
-    HarmonicTable,
     Pmf,
     _poisson_terms,
-    _poisson_support,
+    _poisson_truncated,
     _validate_tol,
     shared_harmonic_table,
 )
@@ -141,19 +140,15 @@ def limit_mixing_measure(n: int, t: float) -> ReflectedExponential:
     return ReflectedExponential(c=c)
 
 
-def harmonic_mixing_measure(n: int, l: int, jd, h: HarmonicTable | None = None) -> DiscreteMeasure:
+def harmonic_mixing_measure(jd) -> DiscreteMeasure:
     """Discrete measure putting the weight of grid cell (i, j) at H_i + H_j.
 
     ``jd`` is the joint law of the (smaller, larger) predecessor counts for
-    key l (see exact_depth.predecessor_joint); equal locations are coalesced.
+    key jd.l in a tree of size jd.n (see exact_depth.predecessor_joint);
+    equal locations are coalesced.
     """
-    if jd.n != n or jd.l != l:
-        raise ValueError(
-            f"joint grid was built for (n={jd.n}, l={jd.l}), not (n={n}, l={l})"
-        )
-    if h is None:
-        h = shared_harmonic_table(n)
-    locations = np.add.outer(h.H[:l], h.H[: n - l + 1]).ravel()
+    H = shared_harmonic_table(jd.n).H
+    locations = np.add.outer(H[: jd.l], H[: jd.n - jd.l + 1]).ravel()
     return DiscreteMeasure(locations, np.ravel(jd.weights))
 
 
@@ -186,54 +181,42 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     Poisson pmfs.  For the reflected-exponential measure the density part
     gives mass e^(-c/2) 2^k P(Poisson(c/2) > k) at k, and the atom at 0 adds
     e^(-c/2) to the mass at 0.  The support is cut where the tail of the
-    dominating Poisson(rate upper bound), from distributions._poisson_terms,
-    drops below tol.  A discrete mixture books its own tail past the cut; the
-    reflected mixture books the Poisson(c) tail, which bounds its own
-    because every rate is at most c.
+    dominating Poisson(rate upper bound) drops below tol, as found by
+    distributions._poisson_truncated.  A discrete mixture then evaluates all
+    its rates up to the cut and books its own tail past it; the reflected
+    mixture books the Poisson(c) tail the search returned, which bounds its
+    own because every rate is at most c.
     """
     _validate_tol(tol)
     if isinstance(measure, DiscreteMeasure):
         lam_max = float(measure.locations[-1])
         if lam_max == 0.0:
             return Pmf.delta(0)
-        k_max = _poisson_support(lam_max, tol)
+        k_max = len(_poisson_truncated(lam_max, tol)[0]) - 1
         masses, tails = _poisson_terms(measure.locations, k_max, measure.weights)
         return Pmf.from_masses(0, masses, float(tails[-1]))
 
     if measure.degenerate:
         return Pmf.delta(0)
     c = measure.c
-    k_max = _poisson_support(c, tol)
+    tails_c = _poisson_truncated(c, tol)[1]
+    k_max = len(tails_c) - 1
     ks = np.arange(k_max + 1)
     masses = np.ldexp(_poisson_terms(c / 2.0, k_max)[1], ks) * math.exp(-c / 2.0)
     masses[0] += measure.atom_at_zero
-    return Pmf.from_masses(0, masses, float(_poisson_terms(c, k_max)[1][-1]))
+    return Pmf.from_masses(0, masses, float(tails_c[-1]))
 
 
 def measure_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """L1 Wasserstein distance between finite discrete measures.
 
-    Uses the quantile coupling: both atom lists are already sorted, so the
-    distance is the integral of |inverse cdf difference| over the common
-    weight partition.  Exact for finite measures.
+    The integral of |F_mu - F_nu| over the line: both atom lists are merged
+    into one sorted list, mu's weights counted positive and nu's negative, so
+    the running sum of weights is F_mu - F_nu up to each atom and is constant
+    until the next.  Exact for finite measures up to rounding.
     """
-    terms: list[float] = []
-    ia = ib = 0
-    ra = float(mu.weights[0])
-    rb = float(nu.weights[0])
-    while True:
-        step = min(ra, rb)
-        terms.append(step * abs(float(mu.locations[ia]) - float(nu.locations[ib])))
-        ra -= step
-        rb -= step
-        if ra <= 1e-17:
-            ia += 1
-            if ia >= len(mu.weights):
-                break
-            ra = float(mu.weights[ia])
-        if rb <= 1e-17:
-            ib += 1
-            if ib >= len(nu.weights):
-                break
-            rb = float(nu.weights[ib])
-    return math.fsum(terms)
+    locations = np.concatenate((mu.locations, nu.locations))
+    order = locations.argsort(kind="stable")
+    locations = locations[order]
+    cdf_gap = np.concatenate((mu.weights, -nu.weights))[order].cumsum()
+    return math.fsum((abs(cdf_gap[:-1]) * (locations[1:] - locations[:-1])).tolist())

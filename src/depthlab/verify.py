@@ -117,7 +117,7 @@ def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
     weights /= weights.sum()
     # Renormalize exactly so construction never trips the 1e-12 sum check.
     weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
-    return DiscreteMeasure.from_atoms(list(zip(locations, weights)))
+    return DiscreteMeasure(locations, weights)
 
 
 def _lemma4b(sw: _Sweep) -> Checks:

@@ -18,8 +18,8 @@ import depthlab
 from depthlab.distributions import (
     BoundReport,
     Pmf,
-    _poisson_support,
     _poisson_terms,
+    _poisson_truncated,
     _record_laws,
     convolve,
     harmonic_table,
@@ -307,7 +307,7 @@ def test_poisson_pmf_equals_scipy_stats_oracle():
     for lam in (1e-9, 0.3, math.log(2), 7.5, 20.0, 500.0):
         for tol in (1e-9, 1e-12, 1e-15):
             k_max = scipy_stats_poisson_support(lam, tol)
-            assert _poisson_support(lam, tol) == k_max, (lam, tol)
+            assert len(_poisson_truncated(lam, tol)[0]) - 1 == k_max, (lam, tol)
             ref = Pmf.from_masses(
                 0,
                 stats.poisson.pmf(np.arange(k_max + 1), lam),
@@ -334,7 +334,8 @@ def test_poisson_support_equals_scalar_search():
     lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 2000)).tolist(), 1e3, 1e5]
     for lam in lams:
         for tol in (1e-9, 1e-12, 1e-15):
-            assert _poisson_support(lam, tol) == scalar_poisson_support(lam, tol), (lam, tol)
+            k_max = len(_poisson_truncated(lam, tol)[0]) - 1
+            assert k_max == scalar_poisson_support(lam, tol), (lam, tol)
 
 
 def test_poisson_tails_match_pdtrc():
@@ -343,7 +344,7 @@ def test_poisson_tails_match_pdtrc():
     rng = np.random.default_rng(12)
     lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 2000)).tolist(), 1e3, 1e5]
     for lam in lams:
-        k_max = _poisson_support(lam, 1e-15)
+        k_max = len(_poisson_truncated(lam, 1e-15)[0]) - 1
         ks = np.arange(k_max + 1)
         tails = _poisson_terms(lam, k_max)[1]
         ref = pdtrc(ks, lam)

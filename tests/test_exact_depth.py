@@ -391,7 +391,7 @@ def test_mixing_variance_matches_harmonic_measure_grid():
     # The closed form against the variance of the H_i + H_j grid measure.
     for n in range(1, 41):
         for l in range(1, n + 1):
-            grid = measure_variance(harmonic_mixing_measure(n, l, predecessor_joint(n, l)))
+            grid = measure_variance(harmonic_mixing_measure(predecessor_joint(n, l)))
             assert abs(mixing_variance_report(n, l).lhs - grid) < 1e-12, (n, l)
 
 

@@ -9,10 +9,11 @@ from mpmath import mp, mpf
 from scipy import stats
 from scipy.special import gammainc, gammaln
 
+from depthlab import distributions
 from depthlab.distributions import (
     Pmf,
     _poisson_kernel,
-    _poisson_support,
+    _poisson_truncated,
     mean_var,
     poisson_pmf,
     total_variation,
@@ -29,7 +30,7 @@ from depthlab.mixing import (
     measure_wasserstein,
     mixed_poisson_pmf,
 )
-from depthlab.verify import run_suite
+from depthlab.verify import _random_measure, run_suite
 
 
 def random_measure(rng, max_rate=20.0, max_atoms=8):
@@ -245,7 +246,7 @@ def test_mixpo_equals_scipy_stats_oracle():
         DiscreteMeasure.point(7.5),
         DiscreteMeasure.from_atoms([(0.0, 0.5), (math.log(2), 0.5)]),
         DiscreteMeasure.from_atoms([(1e-9, 0.25), (0.3, 0.25), (20.0, 0.5)]),
-        harmonic_mixing_measure(50, 17, predecessor_joint(50, 17)),
+        harmonic_mixing_measure(predecessor_joint(50, 17)),
     ]
     reflected = [limit_mixing_measure(n, t) for n, t in ((3, 0.5), (64, 0.1), (1000, 0.5), (16384, 0.3))]
     cases = [(m, tol) for m in discrete for tol in (1e-9, 1e-12, 1e-15)]
@@ -253,7 +254,7 @@ def test_mixpo_equals_scipy_stats_oracle():
     for measure, tol in cases:
         k_max, ref = scipy_stats_mixed_poisson_pmf(measure, tol)
         lam_max = measure.c if isinstance(measure, ReflectedExponential) else float(measure.locations[-1])
-        assert _poisson_support(lam_max, tol) == k_max, (measure, tol)
+        assert len(_poisson_truncated(lam_max, tol)[0]) - 1 == k_max, (measure, tol)
         p = mixed_poisson_pmf(measure, tol)
         assert p.offset == ref.offset and p.support_max == ref.support_max, (measure, tol)
         # 4 ulps of the largest part of the exp() argument k log lam - log k! - lam,
@@ -277,7 +278,7 @@ def test_mixpo_reflected_matches_mpmath():
     for n, t in ((64, 0.1), (16384, 0.5), (10**6, 0.1), (10**13, 0.5)):
         nu = limit_mixing_measure(n, t)
         p = mixed_poisson_pmf(nu, 1e-12)
-        k_max = _poisson_support(nu.c, 1e-12)
+        k_max = len(_poisson_truncated(nu.c, 1e-12)[0]) - 1
         assert p.offset == 0 and p.support_max == k_max, (n, t)
         with mp.workdps(40):
             half = mpf(nu.c) / 2
@@ -345,27 +346,21 @@ def test_mixpo_to_poisson_variance_over_mean_bound():
 
 
 def test_harmonic_measure_point_at_n1():
-    mu = harmonic_mixing_measure(1, 1, predecessor_joint(1, 1))
+    mu = harmonic_mixing_measure(predecessor_joint(1, 1))
     assert list(mu.locations) == [0.0]
     assert list(mu.weights) == [1.0]
 
 
 def test_harmonic_measure_n3_l2():
-    mu = harmonic_mixing_measure(3, 2, predecessor_joint(3, 2))
+    mu = harmonic_mixing_measure(predecessor_joint(3, 2))
     np.testing.assert_allclose(mu.locations, [0.0, 1.0, 2.0], atol=1e-15)
     np.testing.assert_allclose(mu.weights, [1 / 3, 1 / 3, 1 / 3], atol=1e-14)
 
 
 def test_harmonic_measure_mean_matches_depth_mean():
     for n, l in ((4, 2), (30, 11), (200, 67), (300, 1)):
-        mu = harmonic_mixing_measure(n, l, predecessor_joint(n, l))
+        mu = harmonic_mixing_measure(predecessor_joint(n, l))
         assert measure_mean(mu) == pytest.approx(depth_mean(n, l), abs=1e-10)
-
-
-def test_harmonic_measure_dimension_mismatch():
-    jd = predecessor_joint(5, 3)
-    with pytest.raises(ValueError):
-        harmonic_mixing_measure(5, 2, jd)
 
 
 # -------------------------------------------------------- wasserstein / contraction
@@ -382,6 +377,46 @@ def test_measure_wasserstein_is_mean_gap_for_sorted_shift():
     a = DiscreteMeasure.from_atoms([(1.0, 0.5), (3.0, 0.5)])
     b = DiscreteMeasure.from_atoms([(2.0, 0.5), (4.0, 0.5)])
     assert measure_wasserstein(a, b) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_measure_wasserstein_equals_scipy_stats():
+    # Against scipy.stats.wasserstein_distance: the lemma4b suite's random
+    # pairs, a pair sharing atoms, and two harmonic measures of 150 x 151 and
+    # 100 x 201 grid cells.
+    def scipy_distance(mu, nu):
+        return stats.wasserstein_distance(mu.locations, nu.locations, mu.weights, nu.weights)
+
+    rng = np.random.default_rng(2024)
+    pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(1000)]
+    pairs.append((
+        DiscreteMeasure.from_atoms([(0.0, 0.25), (1.5, 0.5), (4.0, 0.25)]),
+        DiscreteMeasure.from_atoms([(1.5, 0.125), (4.0, 0.625), (9.0, 0.25)]),
+    ))
+    pairs.append(tuple(harmonic_mixing_measure(predecessor_joint(300, l)) for l in (150, 100)))
+    for mu, nu in pairs:
+        assert measure_wasserstein(mu, nu) == pytest.approx(scipy_distance(mu, nu), rel=1e-12, abs=0)
+
+
+def test_poisson_laws_count_kernel_passes(monkeypatch):
+    # The support search hands back the block it evaluated: a Poisson law
+    # takes one kernel pass, the reflected mixture one more for its
+    # Poisson(c/2) tails, a discrete mixture one more for all its rates.
+    passes = []
+
+    def counted(lam, k_max):
+        passes.append(k_max)
+        return _poisson_kernel(lam, k_max)
+
+    monkeypatch.setattr(distributions, "_poisson_kernel", counted)
+    five_atoms = DiscreteMeasure(np.array([0.5, 2.0, 3.0, 7.5, 11.0]), np.full(5, 0.2))
+    for law, expected in (
+        (lambda: poisson_pmf(12.3), 1),
+        (lambda: mixed_poisson_pmf(limit_mixing_measure(16384, 0.5)), 2),
+        (lambda: mixed_poisson_pmf(five_atoms), 2),
+    ):
+        passes.clear()
+        law()
+        assert len(passes) == expected
 
 
 def test_mixpo_contraction_on_random_pairs():

@@ -282,6 +282,12 @@ def test_sampler_domain_checks():
     rng = RngStream(seed=0)
     with pytest.raises(ValueError):
         sample_depth_bst(5, 6, rng)
+    # A missing key fails the (n, l) check on every fixed-key route.
+    with pytest.raises(ValueError, match="l must be in 1..100"):
+        sample_depth_bst(100, None, rng)
+    for route in ("bst", "representation", "find"):
+        with pytest.raises(ValueError, match="l must be in 1..100"):
+            collect_samples(route, 100, None, 10, 1)
     with pytest.raises(ValueError):
         sample_depth_representation(0, 1, rng)
     with pytest.raises(ValueError):
