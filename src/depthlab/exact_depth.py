@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _all_permutations
 from typing import Iterator
 
 import numpy as np
@@ -44,7 +43,7 @@ from .distributions import (
     _validate_nl,
 )
 from .mixing import ReflectedExponential, limit_mixing_measure, mixed_poisson_pmf
-from .trees import _insert_keys
+from .trees import _permutation_array
 
 __all__ = [
     "CapExceededError",
@@ -286,8 +285,7 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
     rec, rec_tails = _record_matrix(max(l - 1, n - l))
     r_small = rec[:l]
     r_large = rec[: n - l + 1]
-    k = rec.shape[1]
-    grid = np.zeros((k, k))
+    grid = None
     booked = []
     if rec_tails[-1] > 0.0:  # tails grow with m; none are cut for small m
         booked += [
@@ -295,10 +293,14 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
             float(rec_tails[: n - l + 1].sum()) / (n - l + 1),
         ]
     for i0, jlo, w, tail in _jd_blocks(n, l):
-        i1 = i0 + w.shape[0]
-        grid += r_small[i0:i1].T @ (w @ r_large[jlo : jlo + w.shape[1]])
-        booked.append(float(tail.sum()))
-    return grid, math.fsum(booked)
+        block = r_small[i0 : i0 + w.shape[0]].T @ (w @ r_large[jlo : jlo + w.shape[1]])
+        if grid is None:
+            grid = block
+        else:
+            grid += block
+        if w.shape[1] < n - l + 1:  # a full-width band books no tail
+            booked.append(float(tail.sum()))
+    return grid, math.fsum(booked) if booked else 0.0
 
 
 def exact_depth_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> Pmf:
@@ -383,6 +385,10 @@ def _mixpo_distance_of(exact: Pmf, n: int, measure: ReflectedExponential) -> tup
     return d, float(d) * math.sqrt(math.log(n))
 
 
+# Lemma 2's bound on the variance of the harmonic mixing measure.
+MIXING_VARIANCE_BOUND = 28.0
+
+
 def mixing_variance_report(n: int, l: int) -> BoundReport:
     """Check that the variance of the harmonic mixing measure is at most 28.
 
@@ -410,7 +416,40 @@ def mixing_variance_report(n: int, l: int) -> BoundReport:
     cross = (H[a + 1] - 1.0) * H[b] - H[a] * b / (b + 1) + math.fsum(
         ((H[a] + H[2 : b + 2] - H[a + 2 : a + b + 2]) / (m * (m + 1))).tolist()
     )
-    return BoundReport.check(second_moment(a) + second_moment(b) + 2.0 * cross - mean * mean, 28.0)
+    return BoundReport.check(second_moment(a) + second_moment(b) + 2.0 * cross - mean * mean,
+                             MIXING_VARIANCE_BOUND)
+
+
+def _mixing_variance_rows(n: int) -> list[tuple[float, float, bool]]:
+    """(lhs, rhs, holds) of mixing_variance_report(n, l) for l = 1..n.
+
+    The report depends on l only through b = min(l-1, n-l), so one row per
+    b = 0..(n-1)//2 serves the keys l = b+1 and n-b.  The rows are one
+    rectangle of cross terms, cell (b, m) for m = 1..(n-1)//2, with the
+    report's lookups and elementwise operations in the same order, so every
+    row is bit-identical.  Cells with m > b are padding: their H[a+m+1]
+    lookups are clipped into the table, and they never enter the row's fsum.
+    """
+    _validate_nl(n, 1)
+    H = shared_harmonic_table(n).H
+    k = np.arange(n)
+    # The report squares a scalar, which calls C pow(); numpy's array square
+    # is x * x, which differs from it in the last bit for about 0.1% of entries.
+    h2 = np.array([h**2 for h in H[:n].tolist()])
+    second_moment = ((k + 1) * h2 - (2 * k + 1) * H[:n] + 2 * k) / (k + 1)
+    b = np.arange((n - 1) // 2 + 1)
+    a = n - 1 - b
+    mean = H[b + 1] + H[a + 1] - 2.0
+    m = np.arange(1, b[-1] + 1)
+    terms = H[a][:, None] + H[m + 1]
+    terms -= H.take(a[:, None] + m + 1, mode="clip")
+    terms /= m * (m + 1)
+    sums = np.array([math.fsum(row[:width].tolist()) for width, row in zip(b.tolist(), terms)])
+    cross = (H[a + 1] - 1.0) * H[b] - H[a] * b / (b + 1) + sums
+    lhs = second_moment[a] + second_moment[b] + 2.0 * cross - mean * mean
+    lhs = lhs[np.minimum(k, n - 1 - k)]
+    return [(x, MIXING_VARIANCE_BOUND, x <= MIXING_VARIANCE_BOUND + _BOUND_SLACK)
+            for x in lhs.tolist()]
 
 
 def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
@@ -479,19 +518,42 @@ def _hypergeometric_log_bound_rows(N: int) -> Iterator[tuple[int, int, float, fl
 
 @lru_cache(maxsize=16)
 def _brute_depth_counts(n: int) -> tuple[tuple[int, ...], ...]:
-    """counts[l-1][d] = number of permutations of 1..n whose tree puts l at depth d."""
-    counts = [[0] * n for _ in range(n)]
-    for perm in _all_permutations(range(1, n + 1)):
-        for v, d in enumerate(_insert_keys(perm)[2][1:]):
-            counts[v][d] += 1
-    return tuple(tuple(row) for row in counts)
+    """counts[l-1][d] = number of permutations of 1..n whose tree puts l at depth d.
+
+    Builds the trees of all n! permutations at once, by the usual insertion
+    rule: child[r, key, side] is row r's left (side 0) or right (side 1)
+    child of key, 0 for none.  Each value is inserted into every row in turn,
+    walking down one tree level per step with the rows still looking for a
+    free slot, so the depths are those of a literal tree build.
+    """
+    perms = _permutation_array(n)
+    rows = perms.shape[0]
+    child = np.zeros((rows, n + 1, 2), dtype=np.int8)
+    depth = np.zeros((rows, n + 1), dtype=np.int8)
+    every_row = np.arange(rows)
+    for t in range(1, n):
+        r, node, v = every_row, perms[:, 0], perms[:, t]
+        for d in range(1, t + 1):  # the t keys already placed bound the depth
+            side = (v > node).view(np.int8)
+            nxt = child[r, node, side]
+            free = nxt == 0
+            placed_r, placed_v = r[free], v[free]
+            child[placed_r, node[free], side[free]] = placed_v
+            depth[placed_r, placed_v] = d
+            if free.all():
+                break
+            walk = ~free
+            r, node, v = r[walk], nxt[walk], v[walk]
+    return tuple(tuple(np.bincount(depth[:, l], minlength=n).tolist()) for l in range(1, n + 1))
 
 
 def brute_force_depth_pmf(n: int, l: int) -> Pmf:
     """Depth pmf of key l from enumerating every permutation and building its tree.
 
     Integer counts over n! permutations, so the only rounding is the final
-    division; the enumeration is shared across all l for a given n.
+    division.  All n! trees are built at once, by insertion, and the counts
+    are shared across all l for a given n; at BRUTE_FORCE_CAP the build
+    peaks at about 24 MiB.
     """
     _validate_nl(n, l)
     if n > BRUTE_FORCE_CAP:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .distributions import _validate_nl
 
 __all__ = [
@@ -63,6 +65,24 @@ class Bst:
     right: tuple[int, ...]
     depth_of: tuple[int, ...]
     insertion_order: tuple[int, ...]
+
+
+def _permutation_array(n: int) -> np.ndarray:
+    """All n! permutations of 1..n, one per int8 row.
+
+    The rows for n come from the rows for n - 1 by inserting n into each of
+    the n slots, one block of rows per slot.  Every enumeration over all
+    permutations reads this array; callers cap n (9! rows is 3.3 MB).
+    """
+    perms = np.ones((1, 1), dtype=np.int8)
+    for m in range(2, n + 1):
+        grown = np.empty((m, perms.shape[0], m), dtype=np.int8)
+        for slot in range(m):
+            grown[slot, :, :slot] = perms[:, :slot]
+            grown[slot, :, slot] = m
+            grown[slot, :, slot + 1 :] = perms[:, slot:]
+        perms = grown.reshape(-1, m)
+    return perms
 
 
 def _insert_keys(values: Sequence[int], stop: int = 0) -> tuple[list[int], list[int], list[int]]:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -18,17 +17,18 @@ from .exact_depth import (
     DEFAULT_N_CAP,
     CapExceededError,
     _hypergeometric_log_bound_rows,
+    _mixing_variance_rows,
     brute_force_depth_pmf,
     depth_mean,
     depth_variance,
     exact_depth_pmf,
-    mixing_variance_report,
     mixpo_distance,
     move_joint_pmf,
     poisson_bound_report,
 )
 from .mixing import DiscreteMeasure, measure_wasserstein, mixed_poisson_pmf
-from .trees import Permutation, find_select
+from .montecarlo import _find_recursions
+from .trees import _permutation_array
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -37,7 +37,7 @@ THEOREM6_GRID = (64, 256, 1024, 4096, 16384)
 # Theorem 6 has no explicit constant: the scaled d_W may grow 10% past its first value.
 THEOREM6_GROWTH = 1.10
 DEFAULT_TRIALS = 1000
-FIND_ENUMERATION_CAP = 7  # find runs n quickselects on each of the n! permutations
+FIND_ENUMERATION_CAP = 7  # find runs the quickselect kernel for each key over all n! permutations
 
 Checks = Iterator[tuple[dict, float, float | None, bool]]
 
@@ -105,9 +105,8 @@ def _theorem6(sw: _Sweep) -> Checks:
 
 def _lemma2(sw: _Sweep) -> Checks:
     for n in sw.sizes(300):
-        for l in range(1, n + 1):
-            rep = mixing_variance_report(n, l)
-            yield {"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds
+        for l, (lhs, rhs, holds) in enumerate(_mixing_variance_rows(n), start=1):
+            yield {"n": n, "l": l}, lhs, rhs, holds
 
 
 def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
@@ -154,14 +153,11 @@ def _metrics(sw: _Sweep) -> Checks:
 
 def _find(sw: _Sweep) -> Checks:
     for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
-        # counts[l - 1, r]: permutations on which quickselect for l recurses r times.
-        counts = np.zeros((n, n), dtype=np.int64)
-        for values in permutations(range(1, n + 1)):
-            perm = Permutation(values)
-            for l in range(1, n + 1):
-                counts[l - 1, find_select(perm, l).recursions] += 1
+        perms = _permutation_array(n)
         for l in range(1, n + 1):
-            pmf = Pmf.from_masses(0, counts[l - 1] / math.factorial(n))
+            # counts[r]: permutations on which quickselect for l recurses r times.
+            counts = np.bincount(_find_recursions(perms, l), minlength=n)
+            pmf = Pmf.from_masses(0, counts / math.factorial(n))
             d = float(total_variation(pmf, brute_force_depth_pmf(n, l)))
             yield {"n": n, "l": l}, d, 0.0, d == 0.0
 

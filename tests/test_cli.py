@@ -215,7 +215,7 @@ def test_verify_find_over_enumeration_cap_exit_3(monkeypatch):
     def unexpected(*args, **kwargs):
         raise AssertionError("find enumerated permutations above its cap")
 
-    monkeypatch.setattr(verify, "find_select", unexpected)
+    monkeypatch.setattr(verify, "_permutation_array", unexpected)
     code, out = run_cli(["verify", "--suite", "find", "--n", "12"])
     assert code == 3
     assert out == ""

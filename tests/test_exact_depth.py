@@ -5,7 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +26,12 @@ from depthlab.exact_depth import (
     DEFAULT_N_CAP,
     CapExceededError,
     _HYPERGEOM_CHUNK_CELLS,
+    _brute_depth_counts,
     _hypergeometric_log_bound_rows,
     _jd_blocks,
     _ln_table,
     _log_factorials,
+    _mixing_variance_rows,
     brute_force_depth_pmf,
     depth_mean,
     depth_variance,
@@ -43,6 +45,7 @@ from depthlab.exact_depth import (
     rank_to_key,
 )
 from depthlab.mixing import harmonic_mixing_measure, measure_variance
+from depthlab.trees import _insert_keys
 from depthlab.verify import run_suite
 
 
@@ -395,6 +398,21 @@ def test_mixing_variance_matches_harmonic_measure_grid():
             assert abs(mixing_variance_report(n, l).lhs - grid) < 1e-12, (n, l)
 
 
+def test_lemma2_rows_equal_the_per_row_report():
+    rows = run_suite("lemma2")
+    expected = [(n, l) for n in range(1, 301) for l in range(1, n + 1)]
+    assert [(r["params"]["n"], r["params"]["l"]) for r in rows] == expected
+    for r in rows:
+        rep = mixing_variance_report(r["params"]["n"], r["params"]["l"])
+        assert (r["lhs"], r["rhs"], r["holds"]) == (rep.lhs, rep.rhs, rep.holds), r["params"]
+    # H_491^2 and H_1229^2 are the first entries where numpy's array square
+    # differs in the last bit from the report's scalar square.
+    for n in (600, 1300):
+        for l, row in enumerate(_mixing_variance_rows(n), start=1):
+            rep = mixing_variance_report(n, l)
+            assert row == (rep.lhs, rep.rhs, rep.holds), (n, l)
+
+
 def test_mixing_variance_report_memory_is_linear_in_n():
     n, l = 4096, 2048
     mixing_variance_report(n, l)  # fill the table caches outside the trace
@@ -496,6 +514,29 @@ def test_brute_force_3_1_is_shifted_record_law():
 def test_brute_force_4_2_literal():
     p = brute_force_depth_pmf(4, 2)
     np.testing.assert_allclose(p.masses, [1 / 4, 7 / 24, 1 / 3, 1 / 8], atol=1e-15)
+
+
+def test_brute_depth_counts_equal_a_tree_build_per_permutation():
+    for n in range(1, 9):
+        counts = [[0] * n for _ in range(n)]
+        for values in permutations(range(1, n + 1)):
+            for key, depth in enumerate(_insert_keys(values)[2][1:]):
+                counts[key][depth] += 1
+        assert _brute_depth_counts(n) == tuple(map(tuple, counts)), n
+
+
+def test_brute_force_memory_at_the_cap():
+    # 9! rows: the int8 permutation and child tables plus the index arrays of
+    # one insertion step measured 23.8 MiB.
+    brute_force_depth_pmf(2, 1)  # import-time and table caches outside the trace
+    _brute_depth_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        brute_force_depth_pmf(BRUTE_FORCE_CAP, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
 
 
 def test_brute_force_cap():

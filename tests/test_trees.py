@@ -11,6 +11,7 @@ from depthlab.exact_depth import brute_force_depth_pmf
 from depthlab.montecarlo import RngStream, random_permutation
 from depthlab.trees import (
     Permutation,
+    _permutation_array,
     build_bst,
     depth_plot,
     find_select,
@@ -28,6 +29,15 @@ def test_permutation_validation():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         Permutation(())
+
+
+def test_permutation_array_holds_every_permutation_once():
+    for n in range(1, 9):
+        perms = _permutation_array(n)
+        assert perms.dtype == np.int8 and perms.shape == (math.factorial(n), n)
+        rows = set(map(tuple, perms.tolist()))
+        assert len(rows) == math.factorial(n)
+        assert rows == set(permutations(range(1, n + 1)))
 
 
 def test_build_bst_shapes():
