@@ -13,6 +13,12 @@ and s the record-pmf support width.  For a central key the band holds about
 exact_depth_pmf(16384, 8192) takes 0.15-0.19 s on 2 vCPU, 0.01 s of it in
 the record matrix.
 
+A second exact route shares nothing with the grid: the root of a random BST
+is uniform, so the laws of every key of every size up to N follow from the
+root-split recurrence (_depth_law_rows) in Theta(N^2 K) time, K = 64 depth
+bins.  That pays when all keys of all sizes are wanted, as in the moments
+sweep; for one (n, l) at large n the banded grid stays the route.
+
 Closed-form mean and variance, the explicit Poisson approximation bound, the
 mixed Poisson Wasserstein distance and two auxiliary inequalities are exposed
 as report operations, plus a brute-force enumeration oracle for small n.
@@ -81,6 +87,9 @@ _HYPERGEOM_CHUNK_CELLS = 1 << 18
 # conditional standard deviations of j given i, and at least _JD_MIN_CHUNK.
 _JD_CHUNK_SIGMAS = 2.0
 _JD_MIN_CHUNK = 8
+# Depth bins of the root-split rows; the last bin holds depth >= this.
+_ROW_DEPTH_BINS = 64
+
 # Grid cells below this floor end the banded walk (see _jd_band).
 MASS_FLOOR = 1e-18
 _LOG_MASS_FLOOR = math.log(MASS_FLOOR)
@@ -303,6 +312,39 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
     return grid, math.fsum(booked) if booked else 0.0
 
 
+def _depth_law_rows(n_max: int) -> Iterator[np.ndarray]:
+    """Yield row n = 1..n_max: the depth laws of keys 1..n as an (n, K+1) array.
+
+    The root-split recurrence.  The root of a random BST of size n is uniform
+    on 1..n: key l is the root (depth 0), or it has rank l in a left subtree
+    of size r-1 (root r > l), or rank l-r in a right subtree of size n-r
+    (root r < l).  So, one level deeper,
+        n P_n(l) = delta_0 + shift_1( sum_{m=l}^{n-1} P_m(l) + sum_{r=1}^{l-1} P_{n-r}(l-r) ).
+    The first sum runs down column l of the (m, l) triangle, the second down
+    its diagonal m - l = n - l.  Keys l and m+1-l of size m are mirror images,
+    so that diagonal holds the column n-l+1 sum, term for term and in the
+    same order; every computed row is exactly symmetric, as it is the sum of
+    two column sums in both orders.  One running sum per column therefore
+    makes row n cost O(nK), and all rows O(n_max^2 K) time and O(n_max K)
+    memory.  Column K = _ROW_DEPTH_BINS is an absorbing bin for depth >= K
+    that the shift feeds, so the mass past depth K-1 is booked there, not
+    lost.  Every step adds nonnegative numbers, so nothing cancels.  Each
+    yielded row is a fresh array.
+    """
+    k = _ROW_DEPTH_BINS
+    col = np.zeros((n_max, k + 1))  # col[l-1]: sum of P_m(l) over the rows m so far
+    for n in range(1, n_max + 1):
+        mirror = col[n - 1 :: -1]  # mirror[l-1] = col[n-l]: the diagonal n - l
+        row = np.empty((n, k + 1))
+        row[:, 0] = 1.0
+        np.add(col[:n, : k - 1], mirror[:, : k - 1], out=row[:, 1:k])
+        row[:, k] = col[:n, k] + mirror[:, k]
+        row[:, k] += col[:n, k - 1] + mirror[:, k - 1]
+        row /= n
+        col[:n] += row
+        yield row
+
+
 def exact_depth_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> Pmf:
     """Exact pmf of the depth of the node holding key l."""
     return MoveJoint(n, l, *_move_grid(n, l, n_cap)).depth_pmf()
@@ -317,23 +359,26 @@ def move_joint_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> MoveJoint:
 def depth_mean(n: int, l: int) -> float:
     """Closed-form expected depth H_l + H_{n+1-l} - 2."""
     _validate_nl(n, l)
-    h = shared_harmonic_table(n)
-    return float(h.H[l] + h.H[n + 1 - l] - 2.0)
+    return float(_depth_moments(n, l)[0])
 
 
 def depth_variance(n: int, l: int) -> float:
     """Closed-form depth variance in terms of harmonic numbers."""
     _validate_nl(n, l)
+    return float(_depth_moments(n, l)[1])
+
+
+def _depth_moments(n: int, l):
+    """Closed-form mean and variance of the depth of key l, an int or an int array.
+
+    Elementwise, so an array of keys gets the same bits as one call per key.
+    """
     h = shared_harmonic_table(n)
-    a = 2.0 * (n + 1) / (l * (n + 1 - l))
-    return float(
-        a * h.H[n]
-        + (1.0 - a) * (h.H[l] + h.H[n + 1 - l])
-        - h.H2[l]
-        - h.H2[n + 1 - l]
-        + 2.0 / (l * (n + 1 - l))
-        + 2.0
-    )
+    r = n + 1 - l
+    a = 2.0 * (n + 1) / (l * r)
+    mean = h.H[l] + h.H[r] - 2.0
+    var = a * h.H[n] + (1.0 - a) * (h.H[l] + h.H[r]) - h.H2[l] - h.H2[r] + 2.0 / (l * r) + 2.0
+    return mean, var
 
 
 # Explicit constant in the total-variation Poisson approximation bound.

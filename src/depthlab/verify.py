@@ -16,11 +16,12 @@ from .exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
     CapExceededError,
+    _ROW_DEPTH_BINS,
+    _depth_law_rows,
+    _depth_moments,
     _hypergeometric_log_bound_rows,
     _mixing_variance_rows,
     brute_force_depth_pmf,
-    depth_mean,
-    depth_variance,
     exact_depth_pmf,
     mixpo_distance,
     move_joint_pmf,
@@ -38,6 +39,10 @@ THEOREM6_GRID = (64, 256, 1024, 4096, 16384)
 THEOREM6_GROWTH = 1.10
 DEFAULT_TRIALS = 1000
 FIND_ENUMERATION_CAP = 7  # find runs the quickselect kernel for each key over all n! permutations
+# rootsplit checks every key up to this n and _spot_keys above it.  At n = 1000
+# a spot key reaches band-cut blocks of the predecessor grid; at n <= 500 none does.
+ROOTSPLIT_EVERY_KEY_MAX = 60
+ROOTSPLIT_GRID = (1000,)
 
 Checks = Iterator[tuple[dict, float, float | None, bool]]
 
@@ -74,16 +79,45 @@ def _oracle(sw: _Sweep) -> Checks:
             yield {"n": n, "l": l}, d, 1e-12, d <= 1e-12
 
 
+def _recurrence_rows(sizes: Sequence[int], cap: int) -> Iterator[np.ndarray]:
+    """The root-split rows of the given sizes; the cap is checked before any row is built."""
+    top = max(sizes)
+    if top > cap:
+        raise CapExceededError("depth-law recurrence", top, cap)
+    wanted = set(sizes)
+    return (row for row in _depth_law_rows(top) if len(row) in wanted)
+
+
 def _moments(sw: _Sweep) -> Checks:
-    for n in sw.sizes(500):
+    depths = np.arange(_ROW_DEPTH_BINS, dtype=np.float64)
+    for row in _recurrence_rows(sw.sizes(500), sw.cap):
+        n = len(row)
         # 20 evenly spread keys (every key when n <= 20).
-        for l in sorted({round(1 + (n - 1) * i / 19) for i in range(20)}):
-            mean, var = mean_var(exact_depth_pmf(n, l, n_cap=sw.cap))
-            mean_err = abs(mean - depth_mean(n, l))
-            kv = depth_variance(n, l)
-            var_err = abs(var - kv) / max(1.0, kv)
-            yield {"n": n, "l": l, "check": "mean"}, mean_err, 1e-9, mean_err <= 1e-9
-            yield {"n": n, "l": l, "check": "variance"}, var_err, 1e-8, var_err <= 1e-8
+        keys = np.array(sorted({round(1 + (n - 1) * i / 19) for i in range(20)}))
+        laws = row[keys - 1, :-1]  # the depth >= K bin holds only booked dust
+        mean = laws @ depths
+        var = laws @ (depths * depths) - mean * mean
+        kmean, kvar = _depth_moments(n, keys)
+        mean_err = np.abs(mean - kmean)
+        var_err = np.abs(var - kvar) / np.maximum(1.0, kvar)
+        for l, me, ve in zip(keys.tolist(), mean_err.tolist(), var_err.tolist()):
+            yield {"n": n, "l": l, "check": "mean"}, me, 1e-9, me <= 1e-9
+            yield {"n": n, "l": l, "check": "variance"}, ve, 1e-8, ve <= 1e-8
+
+
+def _spot_keys(n: int) -> list[int]:
+    return sorted(l for l in {1, 2, math.ceil(n / 4), math.ceil(n / 2), n - 1, n} if 1 <= l <= n)
+
+
+def _rootsplit(sw: _Sweep) -> Checks:
+    sizes = sorted({*sw.sizes(ROOTSPLIT_EVERY_KEY_MAX), *sw.grid_sizes(ROOTSPLIT_GRID)})
+    for row in _recurrence_rows(sizes, sw.cap):
+        n = len(row)
+        keys = range(1, n + 1) if n <= ROOTSPLIT_EVERY_KEY_MAX else _spot_keys(n)
+        for l in keys:
+            law = Pmf.from_masses(0, row[l - 1, :-1], float(row[l - 1, -1]))
+            d = float(total_variation(exact_depth_pmf(n, l, n_cap=sw.cap), law))
+            yield {"n": n, "l": l}, d, 1e-12, d <= 1e-12
 
 
 def _theorem3(sw: _Sweep) -> Checks:
@@ -175,7 +209,7 @@ def _moves(sw: _Sweep) -> Checks:
 SUITES: dict[str, Callable[[_Sweep], Checks]] = {
     f.__name__.lstrip("_"): f
     for f in (_oracle, _moments, _theorem3, _theorem6, _lemma2,
-              _lemma4b, _lemma5, _metrics, _find, _moves)
+              _lemma4b, _lemma5, _metrics, _find, _moves, _rootsplit)
 }
 
 

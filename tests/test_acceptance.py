@@ -13,6 +13,7 @@ import numpy as np
 
 import depthlab as dl
 from depthlab.distributions import harmonic_table
+from depthlab.exact_depth import _depth_law_rows
 from depthlab.montecarlo import RngStream
 from depthlab.verify import run_suite
 
@@ -272,6 +273,14 @@ def test_criterion_12b_reference_law():
         diff = np.abs(_dense(random_key_depth_law(n), n) - _per_key_average(law, n))
         worst = max(worst, float(diff.max()))
     assert worst < 1e-12, f"reference law vs per-key average: worst abs diff {worst:.2e}"
+
+    # A second oracle: the mean over keys of the root-split row of size n.
+    for row in _depth_law_rows(1000):
+        if len(row) in (100, 1000):
+            mean_row = row.mean(axis=0)
+            average = dl.Pmf.from_masses(0, mean_row[:-1], float(mean_row[-1]))
+            d = float(dl.total_variation(random_key_depth_law(len(row)), average))
+            assert d <= 1e-13, (len(row), d)
 
     n = 10_000
     mean, _ = dl.mean_var(random_key_depth_law(n))

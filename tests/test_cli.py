@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -177,6 +178,7 @@ TINY_SUITE_ARGS = {
     "metrics": ["--trials", "5"],
     "find": ["--n-max", "4"],
     "moves": ["--n-max", "5"],
+    "rootsplit": ["--n-max", "5"],
 }
 
 
@@ -217,6 +219,19 @@ def test_verify_find_over_enumeration_cap_exit_3(monkeypatch):
 
     monkeypatch.setattr(verify, "_permutation_array", unexpected)
     code, out = run_cli(["verify", "--suite", "find", "--n", "12"])
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["moments", "rootsplit"])
+def test_verify_recurrence_suites_check_the_cap_first(monkeypatch, suite):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("built recurrence rows past the cap")
+
+    monkeypatch.setattr(verify, "_depth_law_rows", unexpected)
+    t0 = time.perf_counter()
+    code, out = run_cli(["verify", "--suite", suite, "--n-max", "40000", "--cap", "100"])
+    assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert out == ""
 

@@ -27,6 +27,7 @@ from depthlab.exact_depth import (
     CapExceededError,
     _HYPERGEOM_CHUNK_CELLS,
     _brute_depth_counts,
+    _depth_law_rows,
     _hypergeometric_log_bound_rows,
     _jd_blocks,
     _ln_table,
@@ -217,6 +218,47 @@ def test_exact_depth_extreme_keys_are_shifted_record_laws():
         for l in (1, n):
             d = total_variation(exact_depth_pmf(n, l), rec)
             assert float(d) < 1e-12
+
+
+def _row_law(row, l):
+    return Pmf.from_masses(0, row[l - 1, :-1], float(row[l - 1, -1]))
+
+
+def test_root_split_rows_match_the_banded_route():
+    small, big = {}, None
+    for row in _depth_law_rows(3000):
+        if len(row) <= 120:
+            small[len(row)] = row
+        big = row
+    worst = max(
+        float(total_variation(_row_law(row, l), exact_depth_pmf(n, l)))
+        for n, row in small.items() for l in range(1, n + 1)
+    )
+    assert worst <= 1e-13, worst
+    for l in _oracle_keys(3000):
+        d = float(total_variation(_row_law(big, l), exact_depth_pmf(3000, l)))
+        assert d <= 1e-13, (l, d)
+
+
+def test_root_split_rows_match_brute_force():
+    for row in _depth_law_rows(8):
+        n = len(row)
+        for l in range(1, n + 1):
+            d = float(total_variation(_row_law(row, l), brute_force_depth_pmf(n, l)))
+            assert d <= 1e-15, (n, l, d)
+
+
+def test_root_split_rows_book_the_deep_tail():
+    k = exact_depth._ROW_DEPTH_BINS
+    spill = 0.0
+    for row in _depth_law_rows(1000):
+        n = len(row)
+        assert row.shape == (n, k + 1)
+        assert np.abs(row.sum(axis=1) - 1.0).max() <= 1e-14, n
+        if n <= k:
+            assert not row[:, -1].any(), n  # depth is at most n - 1 < K
+        spill = max(spill, float(row[:, -1].max()))
+    assert 0.0 < spill < 1e-20  # the bin does fill, and only with dust, by n = 1000
 
 
 def test_exact_depth_cap():

@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from depthlab.exact_depth import _brute_depth_counts
-from depthlab.verify import run_suite
+from depthlab.exact_depth import _brute_depth_counts, _jd_blocks
+from depthlab.verify import ROOTSPLIT_EVERY_KEY_MAX, run_suite
 
 
 def _forbid(monkeypatch, name):
@@ -27,6 +27,7 @@ def _forbid(monkeypatch, name):
         ("find", {}, "find_select"),
         ("lemma2", {"n_max": 60}, "mixing_variance_report"),
         ("oracle", {}, "_insert_keys"),
+        ("moments", {"n_max": 60}, "exact_depth_pmf"),
     ],
 )
 def test_suite_makes_no_per_row_call(monkeypatch, suite, kwargs, per_row):
@@ -34,3 +35,13 @@ def test_suite_makes_no_per_row_call(monkeypatch, suite, kwargs, per_row):
     _forbid(monkeypatch, per_row)
     rows = run_suite(suite, **kwargs)
     assert rows and all(r["holds"] for r in rows)
+
+
+def test_rootsplit_reaches_a_band_cut_block():
+    # moments no longer calls the banded route, and no band cuts at n <= 500:
+    # rootsplit's spot keys must reach the blocks whose tails are booked.
+    rows = run_suite("rootsplit")
+    assert rows and all(r["holds"] for r in rows)
+    spots = [(r["params"]["n"], r["params"]["l"]) for r in rows
+             if r["params"]["n"] > ROOTSPLIT_EVERY_KEY_MAX]
+    assert any(w.shape[1] < n - l + 1 for n, l in spots for _, _, w, _ in _jd_blocks(n, l))
