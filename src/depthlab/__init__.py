@@ -1,6 +1,6 @@
 """depthlab: node-depth distributions in random binary search trees.
 
-Exact laws, Poisson and mixed Poisson approximations with certified error
+Exact laws, Poisson and mixed Poisson approximations with truncation
 bookkeeping, probability metrics, quickselect equivalence and seeded
 Monte Carlo cross-validation.
 """

@@ -2,8 +2,9 @@
 
 Everything here works on `Pmf`, an immutable mass function on the nonnegative
 integers that keeps track of how much probability was dropped during
-truncation.  Distances computed from truncated laws therefore come back with a
-certified error bound attached instead of silently ignoring the lost mass.
+truncation.  Distances computed from truncated laws therefore come back with an
+error bound attached instead of silently ignoring the lost mass (see
+wasserstein for the term its bound misses).
 One cumulative-sum kernel builds every record-count law on a fixed support,
 booking the mass spilled past it.
 Poisson laws need only numpy and math: log k! comes from one cached table
@@ -52,7 +53,7 @@ _TAIL_LIMIT = 1e-9
 
 
 class Distance(float):
-    """A float distance with a certified truncation error bound attached.
+    """A float distance with a truncation error bound attached.
 
     Behaves exactly like ``float`` in arithmetic and comparisons; the
     ``error_bound`` attribute carries the uncertainty contributed by the
@@ -89,16 +90,7 @@ class Pmf:
             raise ValueError("masses must be a nonempty 1-D array")
         if self.offset < 0:
             raise ValueError(f"offset must be >= 0, got {self.offset}")
-        # Written so that NaN, which fails every comparison, fails each check.
-        if not (np.minimum.reduce(arr) >= 0.0 and np.maximum.reduce(arr) <= 1.0 + 1e-12):
-            raise ValueError("masses must lie in [0, 1]")
-        if not 0.0 <= self.truncated_tail <= _TAIL_LIMIT * (1 + 1e-6):
-            raise ValueError(
-                f"truncated_tail {self.truncated_tail!r} outside [0, {_TAIL_LIMIT}]"
-            )
-        total = math.fsum(arr.tolist()) + self.truncated_tail
-        if not abs(total - 1.0) <= _NORMALIZATION_TOL:
-            raise ValueError(f"masses + tail sum to {total!r}, expected 1")
+        _check_pmf_rows(arr[None], [self.truncated_tail])
         arr.flags.writeable = False
         object.__setattr__(self, "masses", arr)
 
@@ -166,6 +158,25 @@ class Pmf:
             np.asarray(data["masses"], dtype=np.float64),
             float(data.get("truncated_tail", 0.0)),
         )
+
+
+def _check_pmf_rows(masses: np.ndarray, tails: list[float]) -> None:
+    """Pmf's invariants on each row of masses with its truncated tail.
+
+    Raises ValueError at the first broken one.  Written so that NaN, which
+    fails every comparison, fails each check.  A plain sum is exact enough
+    for the 1e-9 normalization check.
+    """
+    if not (np.minimum.reduce(masses, axis=None) >= 0.0
+            and np.maximum.reduce(masses, axis=None) <= 1.0 + 1e-12):
+        raise ValueError("masses must lie in [0, 1]")
+    for tail in tails:
+        if not 0.0 <= tail <= _TAIL_LIMIT * (1 + 1e-6):
+            raise ValueError(f"truncated_tail {tail!r} outside [0, {_TAIL_LIMIT}]")
+    for mass, tail in zip(masses.sum(axis=1).tolist(), tails):
+        total = mass + tail
+        if not abs(total - 1.0) <= _NORMALIZATION_TOL:
+            raise ValueError(f"masses + tail sum to {total!r}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -349,76 +360,110 @@ _TAIL_LOG_CUT = 45.0
 def _poisson_kernel(lam, k_max: int) -> np.ndarray:
     """e^(-lam) lam^k / k! for k = 0..k_max, along axis 0.
 
-    A float lam > 0 gives a vector, an array of rates >= 0 a matrix with one
-    column per rate.  k log lam is taken as 0 at k = 0 whatever lam is, so a
-    column with lam = 0 is the point mass at 0.
+    A float lam > 0 gives a vector, an array of rates >= 0 an array with k
+    along axis 0 and the rates' shape after it.  log lam is math.log of each
+    rate, so a rate gets the same terms alone or in any array.  k log lam is
+    taken as 0 at k = 0 whatever lam is, so a rate of 0 gives the point mass
+    at 0.
     """
-    ks = np.arange(k_max + 1.0)
-    if isinstance(lam, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.multiply.outer(ks, np.log(lam))
-        x -= _log_factorials(k_max)[:, None]
-    else:
-        x = ks * math.log(lam)
-        x -= _log_factorials(k_max)
+    rates = np.asarray(lam, dtype=np.float64)
+    logs = [math.log(r) if r > 0.0 else -math.inf for r in rates.ravel().tolist()]
+    with np.errstate(invalid="ignore"):  # 0 * -inf at k = 0, overwritten below
+        x = np.multiply.outer(np.arange(k_max + 1.0), np.reshape(logs, rates.shape))
+    x -= _log_factorials(k_max).reshape((-1,) + (1,) * rates.ndim)
     x[0] = 0.0
-    x -= lam
+    x -= rates
     return np.exp(x, out=x)
 
 
-def _poisson_terms(lam, k_max: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+def _poisson_ends(lam_max: np.ndarray, k_max: np.ndarray) -> np.ndarray:
+    """The last term J that _poisson_terms sums, for each largest rate and k_max."""
+    j0 = np.maximum(k_max + 1, np.ceil(lam_max))
+    steps = 2.0 * _TAIL_LOG_CUT + np.sqrt(2.0 * _TAIL_LOG_CUT * j0)
+    r0 = (lam_max / (j0 + 1)).tolist()
+    steps = np.minimum(steps, [_TAIL_LOG_CUT / -math.log(r) if r > 0.0 else math.inf for r in r0])
+    return (j0 + np.maximum(1.0, np.ceil(steps))).astype(np.int64)
+
+
+def _poisson_terms(lam, k_max, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """P(X = k) and P(X > k) for k = 0..k_max, with X ~ Poisson(lam).
 
-    A float lam gives two vectors, an array of rates two matrices with one
-    column per rate, as _poisson_kernel; with ``weights`` the columns are
-    mixed into the vectors of the discrete mixture.  Each tail is the sum of
-    the pmf terms from k + 1 upwards, accumulated smallest first.  All terms
-    are positive, so nothing cancels and the relative error is that of the
-    terms, exp() at an argument of size about k log k.  From
-    j0 = max(k_max + 1, ceil(lam)) on, the terms fall by a factor of at most
-    lam / (j0 + 1) per step and by exp(-d(d+1) / (2(j0 + d))) over d steps;
-    the sum stops at J = j0 + d, with d the fewest steps that take either
-    bound below e^-_TAIL_LOG_CUT.  Past J each term is at most
-    r = lam / (J + 1) times the one before, so the rest is at most the last
-    term times r / (1 - r), and that bound is added.
+    A float lam gives two vectors, an array of rates two arrays with k along
+    axis 0 and one column per rate.  ``weights``, of the rates' shape, mix
+    the rates' first axis in order: a 1-D pair is one discrete mixture and
+    gives its two vectors, a 2-D pair one mixture per column.  k_max may be
+    one per column; the arrays then run to the largest, and a column's
+    entries past its own k_max are not its law.  Each column is summed as it
+    would be alone, to its own end J.
+
+    Each tail is the sum of the pmf terms from k + 1 upwards, accumulated
+    smallest first.  All terms are positive, so nothing cancels and the
+    relative error is that of the terms, exp() at an argument of size about
+    k log k.  From j0 = max(k_max + 1, ceil(lam)) on, lam the largest rate,
+    the terms fall by a factor of at most lam / (j0 + 1) per step and by
+    exp(-d(d+1) / (2(j0 + d))) over d steps; the sum stops at J = j0 + d,
+    with d the fewest steps that take either bound below e^-_TAIL_LOG_CUT.
+    Past J each term is at most r = lam / (J + 1) times the one before, so
+    the rest is at most the last term times r / (1 - r), and that bound is
+    added.
     """
-    lam_max = float(lam.max()) if isinstance(lam, np.ndarray) else float(lam)
-    j0 = max(k_max + 1, math.ceil(lam_max))
-    steps = 2.0 * _TAIL_LOG_CUT + math.sqrt(2.0 * _TAIL_LOG_CUT * j0)
-    r0 = lam_max / (j0 + 1)
-    if r0 > 0.0:
-        steps = min(steps, _TAIL_LOG_CUT / -math.log(r0))
-    j_end = j0 + max(1, math.ceil(steps))
-    terms = _poisson_kernel(lam, j_end)
-    rest = terms[-1] * lam / (j_end + 1 - lam)  # the last term times r / (1 - r)
-    if weights is not None:
-        terms = terms @ weights
-        rest = rest @ weights
+    rates = np.asarray(lam, dtype=np.float64)
+    mixed = weights is not None
+    shape = rates.shape[1:] if mixed else rates.shape
+    # Atoms along axis 0, columns along axis 1: unmixed, every rate is a column.
+    rates = rates.reshape(len(rates), -1) if mixed else rates.reshape(1, -1)
+    k_max = np.asarray(k_max)
+    ends = _poisson_ends(rates.max(axis=0), k_max)
+    terms = _poisson_kernel(rates, int(ends.max()))
+    # The last term of each column times r / (1 - r).
+    rest = terms[ends, :, np.arange(len(ends))].T * rates / (ends + 1 - rates)
+    if ends.min() < len(terms) - 1:
+        terms *= np.arange(len(terms))[:, None, None] <= ends
+    if mixed:
+        weights = np.reshape(weights, rates.shape)
+        terms, rest = (terms * weights).sum(axis=1), (rest * weights).sum(axis=0)
+    else:
+        terms, rest = terms[:, 0], rest[0]
     # Running sums from the top, turned back round: entry k is P(X >= k).
-    tails = np.add.accumulate(terms[::-1])[::-1][1 : k_max + 2]
+    k_top = int(k_max.max())
+    tails = np.add.accumulate(terms[::-1])[::-1][1 : k_top + 2]
     tails += rest
-    return terms[: k_max + 1], tails
+    return terms[: k_top + 1].reshape(-1, *shape), tails.reshape(-1, *shape)
+
+
+def _poisson_blocks(lams: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each rate lam > 0: P(X = k) and P(X > k) for k = 0..k_max,
+    X ~ Poisson(lam), where k_max is the smallest k >= int(lam) with
+    P(X > k) < tol.
+
+    The tail is evaluated on blocks of 16 + 12 sqrt(lam) candidates from
+    k = int(lam) upwards, and the block holding the first candidate below
+    tol is returned, cut at it.  One _poisson_terms call evaluates the next
+    block of every rate still searching, each column as it would be alone,
+    so a rate gets the same k_max in any array.  At tol >= 1e-15 the first
+    block held the answer for every lambda in the tests; smaller tols may
+    take further blocks.
+    """
+    k0 = lams.astype(np.int64)
+    width = 16 + (12.0 * np.sqrt(lams)).astype(np.int64)
+    found = [None] * len(lams)
+    todo = np.arange(len(lams))
+    while todo.size:
+        last = k0[todo] + width[todo] - 1
+        masses, tails = _poisson_terms(lams[todo], last)
+        ks = np.arange(len(tails))[:, None]
+        below = (tails < tol) & (ks >= k0[todo]) & (ks <= last)
+        hit = below.any(axis=0)
+        for i, k_max in zip(np.flatnonzero(hit).tolist(), below.argmax(axis=0)[hit].tolist()):
+            found[todo[i]] = masses[: k_max + 1, i], tails[: k_max + 1, i]
+        todo = todo[~hit]
+        k0[todo] += width[todo]
+    return found
 
 
 def _poisson_truncated(lam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """P(X = k) and P(X > k) for k = 0..k_max, X ~ Poisson(lam), where k_max
-    is the smallest k >= int(lam) with P(X > k) < tol.
-
-    The tail is evaluated on blocks of 16 + 12 sqrt(lam) candidates from
-    k = int(lam) upwards, one _poisson_terms call per block, and the block
-    holding the first candidate below tol is returned, cut at it.  At
-    tol >= 1e-15 the first block held the answer for every lambda in the
-    tests; smaller tols may take further blocks.
-    """
-    k0 = int(lam)
-    width = 16 + int(12.0 * math.sqrt(lam))
-    while True:
-        masses, tails = _poisson_terms(lam, k0 + width - 1)
-        below = tails[k0:] < tol
-        if below.any():
-            k_max = k0 + int(below.argmax())
-            return masses[: k_max + 1], tails[: k_max + 1]
-        k0 += width
+    """_poisson_blocks for the one rate lam > 0."""
+    return _poisson_blocks(np.array([float(lam)]), tol)[0]
 
 
 def poisson_pmf(lam: float, tol: float = DEFAULT_TAIL_TOL) -> Pmf:
@@ -442,13 +487,36 @@ def _aligned_masses(p: Pmf, q: Pmf) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _fsum_rows(values: np.ndarray) -> list[float]:
+    """math.fsum of each row: zero entries, such as padding, leave it unchanged."""
+    return [math.fsum(row) for row in values.tolist()]
+
+
+def _total_variation_rows(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Half the l1 gap of each pair of rows of masses on a common support."""
+    return [0.5 * s for s in _fsum_rows(np.abs(a - b))]
+
+
+def _wasserstein_rows(a: np.ndarray, b: np.ndarray, first) -> list[float]:
+    """The l1 gap of the survival functions of each pair of rows of masses,
+    summed from column ``first`` (an int, or one per row) to the last.
+
+    Survival values are accumulated from the top of each row, so trailing
+    zero columns change none of them.
+    """
+    sa = np.cumsum(a[:, ::-1], axis=1)[:, ::-1]
+    sb = np.cumsum(b[:, ::-1], axis=1)[:, ::-1]
+    diffs = np.abs(sa - sb)
+    return _fsum_rows(np.where(np.arange(a.shape[1]) < np.reshape(first, (-1, 1)), 0.0, diffs))
+
+
 def total_variation(p: Pmf, q: Pmf) -> Distance:
     """Total variation distance: half the l1 distance between the pmfs.
 
     The attached error bound is half the combined truncated tail mass.
     """
     a, b = _aligned_masses(p, q)
-    value = 0.5 * math.fsum(np.abs(a - b).tolist())
+    value = _total_variation_rows(a[None], b[None])[0]
     return Distance(value, 0.5 * (p.truncated_tail + q.truncated_tail))
 
 
@@ -456,22 +524,16 @@ def wasserstein(p: Pmf, q: Pmf) -> Distance:
     """L1 Wasserstein distance for integer laws: the l1 gap of survival functions.
 
     Computes sum over k >= 1 of |P(X >= k) - P(Y >= k)| (the k = 0 term always
-    vanishes).  The attached error bound is conservative for the truncation
-    policy used here: dropped mass (certified Poisson tails, record-law
-    spills and grid cells outside the band) shifts each survival value by at
-    most the dropped amount across the evaluation window.
+    vanishes).  The attached error bound, (tail_p + tail_q) times the window
+    max(support_max), covers how far dropped mass (Poisson tails, record-law
+    spills and grid cells outside the band) shifts each survival value inside
+    the window.  It is not a certified bound: it misses the dropped mass's own
+    distance past the window, E[(X - window)^+], so the true W1 from
+    poisson_pmf(lam) to Pmf.delta(0), which is lam, lies outside it.
     """
     a, b = _aligned_masses(p, q)
-    # Survival at k = support point: P(X >= k), accumulated from the top.
-    sa = np.cumsum(a[::-1])[::-1]
-    sb = np.cumsum(b[::-1])[::-1]
-    lo = min(p.offset, q.offset)
-    diffs = np.abs(sa - sb)
-    if lo == 0:
-        diffs = diffs[1:]  # the k = 0 survival of a pmf on {0,...} is 1 - tail
-    value = math.fsum(diffs.tolist())
-    # Every k in 1..hi can shift by at most the dropped mass; below the common
-    # support both survivals differ by exactly |tail_p - tail_q|, also covered.
+    # The k = 0 survival of a pmf on {0,...} is 1 - tail: start at k = 1.
+    value = _wasserstein_rows(a[None], b[None], int(min(p.offset, q.offset) == 0))[0]
     window = max(p.support_max, q.support_max)
     bound = (p.truncated_tail + q.truncated_tail) * window
     return Distance(value, bound)
@@ -480,8 +542,7 @@ def wasserstein(p: Pmf, q: Pmf) -> Distance:
 def mean_var(p: Pmf) -> tuple[float, float]:
     """First moment and variance, compensated summation throughout."""
     ks = np.arange(p.offset, p.offset + len(p.masses), dtype=np.float64)
-    mean = math.fsum((ks * p.masses).tolist())
-    second = math.fsum((ks * ks * p.masses).tolist())
+    mean, second = _fsum_rows(np.stack((ks, ks * ks)) * p.masses)
     return mean, second - mean * mean
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Collection, Iterator
 
 import numpy as np
 
@@ -312,8 +312,9 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
     return grid, math.fsum(booked) if booked else 0.0
 
 
-def _depth_law_rows(n_max: int) -> Iterator[np.ndarray]:
-    """Yield row n = 1..n_max: the depth laws of keys 1..n as an (n, K+1) array.
+def _depth_law_rows(n_max: int, sizes: Collection[int] | None = None) -> Iterator[np.ndarray]:
+    """Yield row n for n = 1..n_max in ``sizes`` (default every n): the depth
+    laws of keys 1..n as an (n, K+1) array.
 
     The root-split recurrence.  The root of a random BST of size n is uniform
     on 1..n: key l is the root (depth 0), or it has rank l in a left subtree
@@ -328,21 +329,23 @@ def _depth_law_rows(n_max: int) -> Iterator[np.ndarray]:
     makes row n cost O(nK), and all rows O(n_max^2 K) time and O(n_max K)
     memory.  Column K = _ROW_DEPTH_BINS is an absorbing bin for depth >= K
     that the shift feeds, so the mass past depth K-1 is booked there, not
-    lost.  Every step adds nonnegative numbers, so nothing cancels.  Each
-    yielded row is a fresh array.
+    lost.  Every step adds nonnegative numbers, so nothing cancels.  Every
+    row is computed in one reused buffer; each yielded row is a fresh copy.
     """
     k = _ROW_DEPTH_BINS
     col = np.zeros((n_max, k + 1))  # col[l-1]: sum of P_m(l) over the rows m so far
+    buffer = np.empty((n_max, k + 1))
     for n in range(1, n_max + 1):
         mirror = col[n - 1 :: -1]  # mirror[l-1] = col[n-l]: the diagonal n - l
-        row = np.empty((n, k + 1))
+        row = buffer[:n]
         row[:, 0] = 1.0
         np.add(col[:n, : k - 1], mirror[:, : k - 1], out=row[:, 1:k])
         row[:, k] = col[:n, k] + mirror[:, k]
         row[:, k] += col[:n, k - 1] + mirror[:, k - 1]
         row /= n
         col[:n] += row
-        yield row
+        if sizes is None or n in sizes:
+            yield row.copy()
 
 
 def exact_depth_pmf(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> Pmf:

@@ -11,7 +11,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .distributions import Pmf, mean_var, record_count_pmf, total_variation, wasserstein
+from .distributions import (
+    Pmf,
+    _fsum_rows,
+    _total_variation_rows,
+    _wasserstein_rows,
+    record_count_pmf,
+    total_variation,
+)
 from .exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
@@ -27,7 +34,12 @@ from .exact_depth import (
     move_joint_pmf,
     poisson_bound_report,
 )
-from .mixing import DiscreteMeasure, measure_wasserstein, mixed_poisson_pmf
+from .mixing import (
+    DiscreteMeasure,
+    _measure_rows,
+    _measure_wasserstein_rows,
+    _mixed_poisson_rows,
+)
 from .montecarlo import _find_recursions
 from .trees import _permutation_array
 
@@ -43,6 +55,13 @@ FIND_ENUMERATION_CAP = 7  # find runs the quickselect kernel for each key over a
 # a spot key reaches band-cut blocks of the predecessor grid; at n <= 500 none does.
 ROOTSPLIT_EVERY_KEY_MAX = 60
 ROOTSPLIT_GRID = (1000,)
+# lemma4b and metrics run in chunks of trials: 32 lemma4b trials are 64 laws,
+# which keep its (k, atom, law) kernel near 0.5 MiB.
+LEMMA4B_CHUNK = 32
+METRICS_CHUNK = 256
+# metrics draws pmfs of 1..PMF_MAX_WIDTH masses at offsets 0..PMF_MAX_OFFSET.
+PMF_MAX_WIDTH = 24
+PMF_MAX_OFFSET = 5
 
 Checks = Iterator[tuple[dict, float, float | None, bool]]
 
@@ -84,8 +103,7 @@ def _recurrence_rows(sizes: Sequence[int], cap: int) -> Iterator[np.ndarray]:
     top = max(sizes)
     if top > cap:
         raise CapExceededError("depth-law recurrence", top, cap)
-    wanted = set(sizes)
-    return (row for row in _depth_law_rows(top) if len(row) in wanted)
+    return _depth_law_rows(top, set(sizes))
 
 
 def _moments(sw: _Sweep) -> Checks:
@@ -143,22 +161,40 @@ def _lemma2(sw: _Sweep) -> Checks:
             yield {"n": n, "l": l}, lhs, rhs, holds
 
 
-def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
+def _trial_chunks(trials: int, size: int) -> Iterator[range]:
+    for start in range(0, trials, size):
+        yield range(start, min(start + size, trials))
+
+
+def _measure_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of one random measure: 1 to 7 rates in [0, 20)."""
     size = int(rng.integers(1, 8))
     locations = rng.random(size) * 20.0
     weights = rng.random(size) + 1e-3
     weights /= weights.sum()
     # Renormalize exactly so construction never trips the 1e-12 sum check.
     weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
-    return DiscreteMeasure(locations, weights)
+    return locations, weights
+
+
+def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
+    return DiscreteMeasure(*_measure_draw(rng))
 
 
 def _lemma4b(sw: _Sweep) -> Checks:
-    for trial in range(sw.trials):
-        mu, nu = _random_measure(sw.rng), _random_measure(sw.rng)
-        lhs = float(wasserstein(mixed_poisson_pmf(mu), mixed_poisson_pmf(nu)))
-        rhs = measure_wasserstein(mu, nu) + 1e-8
-        yield {"trial": trial}, lhs, rhs, lhs <= rhs
+    """W1 of the mixed Poisson laws of two random measures against W1 of the
+    measures, one chunked numpy pass: each chunk draws its trials' measures
+    in trial order, mu before nu, and puts all of them on one mixture kernel.
+    """
+    for trials in _trial_chunks(sw.trials, LEMMA4B_CHUNK):
+        loc, w = _measure_rows([_measure_draw(sw.rng) for _ in range(2 * len(trials))])
+        masses, _ = _mixed_poisson_rows(loc, w)
+        # Every law has mass at 0 (rates < 20), so W1 sums from k = 1.
+        lhs = _wasserstein_rows(masses[0::2], masses[1::2], 1)
+        rhs = _measure_wasserstein_rows(loc[0::2], w[0::2], loc[1::2], w[1::2])
+        for trial, l, r in zip(trials, lhs, rhs):
+            r += 1e-8
+            yield {"trial": trial}, l, r, l <= r
 
 
 def _lemma5(sw: _Sweep) -> Checks:
@@ -168,21 +204,41 @@ def _lemma5(sw: _Sweep) -> Checks:
             yield {"N": N, "M": M, "n": n_draw}, lhs, rhs, holds
 
 
-def _random_pmf(rng: np.random.Generator) -> Pmf:
-    width = int(rng.integers(1, 25))
-    offset = int(rng.integers(0, 6))
+def _pmf_draw(rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """The offset and the masses of one random pmf, all masses positive."""
+    width = int(rng.integers(1, PMF_MAX_WIDTH + 1))
+    offset = int(rng.integers(0, PMF_MAX_OFFSET + 1))
     masses = rng.random(width) + 1e-3
-    return Pmf.from_masses(offset, masses / masses.sum())
+    return offset, masses / masses.sum()
+
+
+def _random_pmf(rng: np.random.Generator) -> Pmf:
+    return Pmf.from_masses(*_pmf_draw(rng))
 
 
 def _metrics(sw: _Sweep) -> Checks:
-    for trial in range(sw.trials):
-        p, q = _random_pmf(sw.rng), _random_pmf(sw.rng)
-        tv = float(total_variation(p, q))
-        dw = float(wasserstein(p, q))
-        yield {"trial": trial, "check": "tv_le_2dw"}, tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10
-        gap = abs(mean_var(p)[0] - mean_var(q)[0])
-        yield {"trial": trial, "check": "dw_ge_mean_gap"}, gap, dw + 1e-10, gap <= dw + 1e-10
+    """d_TV <= 2 d_W and |mean gap| <= d_W on pairs of random pmfs, one chunked
+    numpy pass: each chunk draws its pmfs in trial order and puts them on one
+    zero-padded grid over 0..PMF_MAX_OFFSET + PMF_MAX_WIDTH - 1.  The drawn
+    masses are positive and normalized, so every row is a valid Pmf.
+    """
+    ks = np.arange(PMF_MAX_OFFSET + PMF_MAX_WIDTH, dtype=np.float64)
+    for trials in _trial_chunks(sw.trials, METRICS_CHUNK):
+        draws = [_pmf_draw(sw.rng) for _ in range(2 * len(trials))]
+        offsets = np.array([offset for offset, _ in draws])
+        ends = offsets + [len(masses) for _, masses in draws]
+        grid = np.zeros((len(draws), len(ks)))
+        grid[(ks >= offsets[:, None]) & (ks < ends[:, None])] = np.concatenate(
+            [masses for _, masses in draws])
+        p, q = grid[0::2], grid[1::2]
+        tvs = _total_variation_rows(p, q)
+        # W1 sums from the pair's lower offset, and never over k = 0, as wasserstein does.
+        dws = _wasserstein_rows(p, q, np.maximum(1, np.minimum(offsets[0::2], offsets[1::2])))
+        means = _fsum_rows(ks * grid)
+        for trial, tv, dw, mean_p, mean_q in zip(trials, tvs, dws, means[0::2], means[1::2]):
+            yield {"trial": trial, "check": "tv_le_2dw"}, tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10
+            gap = abs(mean_p - mean_q)
+            yield {"trial": trial, "check": "dw_ge_mean_gap"}, gap, dw + 1e-10, gap <= dw + 1e-10
 
 
 def _find(sw: _Sweep) -> Checks:

@@ -18,6 +18,7 @@ import depthlab
 from depthlab.distributions import (
     BoundReport,
     Pmf,
+    _poisson_blocks,
     _poisson_terms,
     _poisson_truncated,
     _record_laws,
@@ -338,6 +339,23 @@ def test_poisson_support_equals_scalar_search():
             assert k_max == scalar_poisson_support(lam, tol), (lam, tol)
 
 
+def test_poisson_blocks_search_each_rate_as_alone():
+    # One array of rates against one call per rate: the same k_max and the
+    # same masses and tails, bit for bit.  At tol 1e-40 some rates take more
+    # than one block, so the search loops.
+    rng = np.random.default_rng(12)
+    lams = np.array([1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 500)), 1e3])
+    for tol in (1e-9, 1e-12, 1e-15, 1e-40):
+        blocks = _poisson_blocks(lams, tol)
+        for lam, (masses, tails) in zip(lams.tolist(), blocks):
+            alone = _poisson_truncated(lam, tol)
+            assert np.array_equal(masses, alone[0]) and np.array_equal(tails, alone[1]), (lam, tol)
+            assert tails[-1] < tol and (len(tails) == int(lam) + 1 or tails[-2] >= tol), (lam, tol)
+    width = 16 + (12.0 * np.sqrt(lams)).astype(int)
+    k_max = np.array([len(m) - 1 for m, _ in blocks])
+    assert np.any(k_max - lams.astype(int) >= width)
+
+
 def test_poisson_tails_match_pdtrc():
     # The rates of test_poisson_support_equals_scalar_search, at every k up
     # to the support at tol 1e-15, within poisson_exp_rtol.
@@ -420,6 +438,15 @@ def test_wasserstein_examples():
     d = wasserstein(poisson_pmf(1.0), poisson_pmf(2.0))
     assert float(d) == pytest.approx(1.0, abs=1e-9)
     assert d.error_bound < 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="error_bound misses E[(X - window)^+] of the dropped mass")
+@pytest.mark.parametrize("lam", [0.5, 5.0, 20.0])
+def test_wasserstein_error_bound_covers_a_dropped_poisson_tail(lam):
+    # W1(Poisson(lam), delta_0) = lam exactly, and the computed value misses
+    # the truncated tail's mean, which the bound does not cover.
+    d = wasserstein(poisson_pmf(lam), Pmf.delta(0))
+    assert abs(float(d) - lam) <= d.error_bound
 
 
 def test_metric_axioms_on_random_pairs():

@@ -225,11 +225,8 @@ def _row_law(row, l):
 
 
 def test_root_split_rows_match_the_banded_route():
-    small, big = {}, None
-    for row in _depth_law_rows(3000):
-        if len(row) <= 120:
-            small[len(row)] = row
-        big = row
+    *rows, big = _depth_law_rows(3000, {*range(1, 121), 3000})
+    small = {len(row): row for row in rows}
     worst = max(
         float(total_variation(_row_law(row, l), exact_depth_pmf(n, l)))
         for n, row in small.items() for l in range(1, n + 1)
@@ -246,6 +243,15 @@ def test_root_split_rows_match_brute_force():
         for l in range(1, n + 1):
             d = float(total_variation(_row_law(row, l), brute_force_depth_pmf(n, l)))
             assert d <= 1e-15, (n, l, d)
+
+
+def test_root_split_rows_of_chosen_sizes_are_the_full_sequence_rows():
+    every = list(_depth_law_rows(200))
+    chosen = list(_depth_law_rows(200, {1, 2, 64, 65, 199}))
+    assert [len(row) for row in chosen] == [1, 2, 64, 65, 199]
+    assert all(np.array_equal(row, every[len(row) - 1]) for row in chosen)
+    assert not any(np.shares_memory(a, b) for a, b in zip(every, every[1:]))  # fresh copies
+    assert list(_depth_law_rows(10, set())) == []
 
 
 def test_root_split_rows_book_the_deep_tail():

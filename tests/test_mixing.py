@@ -23,6 +23,9 @@ from depthlab.mixing import (
     EULER_GAMMA,
     DiscreteMeasure,
     ReflectedExponential,
+    _measure_rows,
+    _measure_wasserstein_rows,
+    _mixed_poisson_rows,
     harmonic_mixing_measure,
     limit_mixing_measure,
     measure_mean,
@@ -395,6 +398,61 @@ def test_measure_wasserstein_equals_scipy_stats():
     pairs.append(tuple(harmonic_mixing_measure(predecessor_joint(300, l)) for l in (150, 100)))
     for mu, nu in pairs:
         assert measure_wasserstein(mu, nu) == pytest.approx(scipy_distance(mu, nu), rel=1e-12, abs=0)
+
+
+# Handcrafted measures for the row kernels: duplicate locations (coalesced),
+# all mass at rate 0 (the point mass at 0), one atom, and rates near 20.
+EDGE_MEASURES = [
+    (np.array([3.0, 1.0, 3.0, 0.0]), np.full(4, 0.25)),
+    (np.array([2.5, 2.5, 2.5]), np.array([0.5, 0.25, 0.25])),
+    (np.array([0.0]), np.array([1.0])),
+    (np.array([0.0, 0.0]), np.array([0.5, 0.5])),
+    (np.array([7.5]), np.array([1.0])),
+    (np.array([np.nextafter(20.0, 0.0)]), np.array([1.0])),
+    (np.array([19.75, 0.0, 19.75, 1e-9]), np.array([0.125, 0.25, 0.5, 0.125])),
+]
+
+
+def test_measure_rows_are_discrete_measures_padded():
+    locations, weights = _measure_rows(EDGE_MEASURES)
+    assert locations.shape == weights.shape == (len(EDGE_MEASURES), 3)  # widest after coalescing
+    for (loc, w), row_loc, row_w in zip(EDGE_MEASURES, locations, weights):
+        m = DiscreteMeasure(loc, w)
+        size = len(m.locations)
+        assert np.array_equal(row_loc[:size], m.locations)
+        assert np.array_equal(row_w[:size], m.weights)
+        assert np.all(row_loc[size:] == m.locations[-1]) and not row_w[size:].any()
+
+
+def test_measure_rows_reject_what_discrete_measure_rejects():
+    good = (np.array([1.0]), np.array([1.0]))
+    for bad in ((np.array([-1.0]), np.array([1.0])), (np.array([math.inf]), np.array([1.0])),
+                (np.array([1.0, 2.0]), np.array([math.nan, 1.0])), (np.array([1.0]), np.array([0.5]))):
+        with pytest.raises(ValueError):
+            _measure_rows([good, bad])
+
+
+def test_mixture_rows_match_mixed_poisson_pmf_on_edge_measures():
+    masses, tails = _mixed_poisson_rows(*_measure_rows(EDGE_MEASURES))
+    for (loc, w), row, tail in zip(EDGE_MEASURES, masses, tails):
+        p = mixed_poisson_pmf(DiscreteMeasure(loc, w))
+        k_max = np.flatnonzero(row)[-1]
+        assert p.offset == 0 and p.support_max == k_max, loc
+        np.testing.assert_allclose(row[: k_max + 1], p.masses, rtol=1e-15, atol=0)
+        assert abs(tail - p.truncated_tail) <= 1e-15 * p.truncated_tail, loc
+        if not loc.any():
+            assert p == Pmf.delta(0)
+            assert row.tolist() == [1.0] + [0.0] * (len(row) - 1) and tail == 0.0
+
+
+def test_measure_wasserstein_rows_ignore_the_padding():
+    locations, weights = _measure_rows(EDGE_MEASURES)
+    pairs = [(i, j) for i in range(len(EDGE_MEASURES)) for j in range(len(EDGE_MEASURES))]
+    mu, nu = zip(*pairs)
+    rows = _measure_wasserstein_rows(locations[list(mu)], weights[list(mu)],
+                                     locations[list(nu)], weights[list(nu)])
+    measures = [DiscreteMeasure(loc, w) for loc, w in EDGE_MEASURES]
+    assert rows == [measure_wasserstein(measures[i], measures[j]) for i, j in pairs]
 
 
 def test_poisson_laws_count_kernel_passes(monkeypatch):
