@@ -47,7 +47,7 @@ __all__ = [
 DEFAULT_TAIL_TOL = 1e-12
 
 _NORMALIZATION_TOL = 1e-9
-# BoundReport.check counts lhs <= rhs + _BOUND_SLACK as holding.
+# A bound holds when lhs <= rhs + _BOUND_SLACK (see _holds).
 _BOUND_SLACK = 1e-12
 _TAIL_LIMIT = 1e-9
 
@@ -208,7 +208,12 @@ class BoundReport:
     def check(cls, lhs: float, rhs: float) -> "BoundReport":
         lhs = float(lhs)
         rhs = float(rhs)
-        return cls(lhs=lhs, rhs=rhs, holds=lhs <= rhs + _BOUND_SLACK, margin=rhs - lhs)
+        return cls(lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs), margin=rhs - lhs)
+
+
+def _holds(lhs, rhs):
+    """Whether lhs <= rhs holds up to _BOUND_SLACK, for floats or arrays."""
+    return lhs <= rhs + _BOUND_SLACK
 
 
 def harmonic_table(n_max: int) -> HarmonicTable:

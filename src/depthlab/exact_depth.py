@@ -22,6 +22,9 @@ sweep; for one (n, l) at large n the banded grid stays the route.
 Closed-form mean and variance, the explicit Poisson approximation bound, the
 mixed Poisson Wasserstein distance and two auxiliary inequalities are exposed
 as report operations, plus a brute-force enumeration oracle for small n.
+Each inequality has one row kernel (_mixing_variance_lhs for Lemma 2,
+_hypergeometric_log_bound for Lemma 5): its report calls it with one row,
+and the verify suites with many.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Collection, Iterator
 
 import numpy as np
@@ -41,7 +45,7 @@ from .distributions import (
     shared_harmonic_table,
     total_variation,
     wasserstein,
-    _BOUND_SLACK,
+    _holds,
     _ln_table,  # perfbench counts this cache as exact_depth._ln_table
     _log_factorials,
     _pow2_at_least,
@@ -453,51 +457,49 @@ def mixing_variance_report(n: int, l: int) -> BoundReport:
     by partial fractions.  The value is symmetric in (a, b), so b is taken
     as the shorter side and the sum is the only O(min(a, b)) step.
     """
-    mean = depth_mean(n, l)  # also validates (n, l)
+    _validate_nl(n, l)
+    lhs = _mixing_variance_lhs(n, np.array([min(l - 1, n - l)]))
+    return BoundReport.check(lhs[0], MIXING_VARIANCE_BOUND)
+
+
+def _mixing_variance_lhs(n: int, b: np.ndarray) -> np.ndarray:
+    """mixing_variance_report's variance for each shorter side b = min(l-1, n-l).
+
+    The cross-term sums are one rectangle of cells (row, m), m = 1..max(b).
+    Cells with m > b are padding: their H[a+m+1] lookups are clipped into
+    the table, and they never enter the row's fsum.
+    """
     H = shared_harmonic_table(n).H
-    a, b = max(l - 1, n - l), min(l - 1, n - l)
-
-    def second_moment(k: int) -> float:
-        return ((k + 1) * H[k] ** 2 - (2 * k + 1) * H[k] + 2 * k) / (k + 1)
-
-    m = np.arange(1, b + 1)
-    cross = (H[a + 1] - 1.0) * H[b] - H[a] * b / (b + 1) + math.fsum(
-        ((H[a] + H[2 : b + 2] - H[a + 2 : a + b + 2]) / (m * (m + 1))).tolist()
-    )
-    return BoundReport.check(second_moment(a) + second_moment(b) + 2.0 * cross - mean * mean,
-                             MIXING_VARIANCE_BOUND)
+    a = n - 1 - b
+    k = np.array((a, b))
+    h = H[k]
+    (h_a, h_b), (h_a1, h_b1) = h, H[k + 1]
+    # Squares of Python floats call C pow(); numpy's array square is x * x,
+    # which differs from it in the last bit for about 0.1% of entries.
+    h2 = np.array([x**2 for x in h.ravel().tolist()]).reshape(h.shape)
+    k = k.astype(float)  # cast once, not in every operation below
+    second_a, second_b = ((k + 1) * h2 - (2 * k + 1) * h + 2 * k) / (k + 1)
+    mean = h_b1 + h_a1 - 2.0
+    m = np.arange(1, b.max() + 1)
+    terms = h_a[:, None] + H[m + 1]
+    terms -= H.take(a[:, None] + m + 1, mode="clip")
+    terms /= m * (m + 1)
+    sums = np.array([math.fsum(row[:width].tolist()) for width, row in zip(b.tolist(), terms)])
+    cross = (h_a1 - 1.0) * h_b - h_a * b / (b + 1) + sums
+    return second_a + second_b + 2.0 * cross - mean * mean
 
 
 def _mixing_variance_rows(n: int) -> list[tuple[float, float, bool]]:
     """(lhs, rhs, holds) of mixing_variance_report(n, l) for l = 1..n.
 
-    The report depends on l only through b = min(l-1, n-l), so one row per
-    b = 0..(n-1)//2 serves the keys l = b+1 and n-b.  The rows are one
-    rectangle of cross terms, cell (b, m) for m = 1..(n-1)//2, with the
-    report's lookups and elementwise operations in the same order, so every
-    row is bit-identical.  Cells with m > b are padding: their H[a+m+1]
-    lookups are clipped into the table, and they never enter the row's fsum.
+    The report depends on l only through b = min(l-1, n-l), so one kernel
+    row per b = 0..(n-1)//2 serves the keys l = b+1 and n-b.
     """
     _validate_nl(n, 1)
-    H = shared_harmonic_table(n).H
     k = np.arange(n)
-    # The report squares a scalar, which calls C pow(); numpy's array square
-    # is x * x, which differs from it in the last bit for about 0.1% of entries.
-    h2 = np.array([h**2 for h in H[:n].tolist()])
-    second_moment = ((k + 1) * h2 - (2 * k + 1) * H[:n] + 2 * k) / (k + 1)
-    b = np.arange((n - 1) // 2 + 1)
-    a = n - 1 - b
-    mean = H[b + 1] + H[a + 1] - 2.0
-    m = np.arange(1, b[-1] + 1)
-    terms = H[a][:, None] + H[m + 1]
-    terms -= H.take(a[:, None] + m + 1, mode="clip")
-    terms /= m * (m + 1)
-    sums = np.array([math.fsum(row[:width].tolist()) for width, row in zip(b.tolist(), terms)])
-    cross = (H[a + 1] - 1.0) * H[b] - H[a] * b / (b + 1) + sums
-    lhs = second_moment[a] + second_moment[b] + 2.0 * cross - mean * mean
-    lhs = lhs[np.minimum(k, n - 1 - k)]
-    return [(x, MIXING_VARIANCE_BOUND, x <= MIXING_VARIANCE_BOUND + _BOUND_SLACK)
-            for x in lhs.tolist()]
+    lhs = _mixing_variance_lhs(n, np.arange((n - 1) // 2 + 1))[np.minimum(k, n - 1 - k)]
+    return list(zip(lhs.tolist(), repeat(MIXING_VARIANCE_BOUND),
+                    _holds(lhs, MIXING_VARIANCE_BOUND).tolist()))
 
 
 def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
@@ -511,57 +513,52 @@ def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
         raise ValueError(f"need 0 <= M,n <= N, got N={N}, M={M}, n={n}")
     if n * M < 1:
         raise ValueError("degenerate case n*M = 0")
-    ex = n * M / N
-    k_lo = max(0, n - (N - M))
-    k_hi = min(n, M)
-    ks = np.arange(k_lo, k_hi + 1)
+    lhs, rhs = _hypergeometric_log_bound(N, np.array([[M]]), np.array([[n]]))
+    return BoundReport.check(lhs[0], rhs[0])
+
+
+def _hypergeometric_log_bound(
+    N: int, M: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of hypergeometric_log_bound_report(N, M, n) for column
+    vectors M and n, all n * M >= 1.
+
+    The pmf terms are one rectangle of cells (row, k), k over the union of
+    the rows' supports max(1, n+M-N) <= k <= min(n, M).  Lookups off a row's
+    support are clipped into the table, and those cells are set to log 0
+    before the exp so that they add 0.0 to their row's fsum.
+    """
     lf = _log_factorials(N)
-    pmf = np.exp(
-        (lf[M] - lf[ks] - lf[M - ks]) + (lf[N - M] - lf[n - ks] - lf[N - M - n + ks])
-        - (lf[N] - lf[n] - lf[N - n])
-    )
-    positive = ks >= 1
-    lhs = math.fsum(
-        (pmf[positive] * np.abs(np.log(ks[positive] / ex))).tolist()
-    )
-    rhs = 4.0 * N * math.log(N) / (n * M) + 2.0 * math.sqrt(N / (n * M))
-    return BoundReport.check(lhs, rhs)
+    ks = np.arange(max(1, int((n + M).min()) - N), int(np.minimum(n, M).max()) + 1)
+    w = lf[M] - lf[ks]
+    w -= lf.take(M - ks, mode="clip")
+    other = lf[N - M] - lf.take(n - ks, mode="clip")
+    other -= lf.take(N - M - n + ks, mode="clip")
+    w += other
+    w -= (lf[N] - lf[n]) - lf[N - n]
+    w[(ks < n + M - N) | (ks > np.minimum(n, M))] = -np.inf
+    np.exp(w, out=w)
+    ratio = ks / (n * M / N)
+    np.log(ratio, out=ratio)
+    w *= np.abs(ratio, out=ratio)
+    lhs = np.array([math.fsum(terms.tolist()) for terms in w])
+    nm = (n * M).ravel()
+    return lhs, 4.0 * N * math.log(N) / nm + 2.0 * np.sqrt(N / nm)
 
 
 def _hypergeometric_log_bound_rows(N: int) -> Iterator[tuple[int, int, float, float, bool]]:
     """(M, n, lhs, rhs, holds) of hypergeometric_log_bound_report(N, M, n)
-    for M, n = 1..N, n fastest.
+    for M, n = 1..N, n fastest, one kernel call per chunk of rows.
 
-    Each chunk of rows is one rectangle of cells (row, k), k = 1..N, with
-    the report's table lookups and elementwise operations in the same
-    order, so every row is bit-identical.  Lookups off the support
-    max(1, n+M-N) <= k <= min(n, M) are clipped into the table, and those
-    cells are set to log 0 before the exp so that they add 0.0 to their
-    row's fsum.  A chunk holds at most _HYPERGEOM_CHUNK_CELLS cells.
+    A chunk holds at most _HYPERGEOM_CHUNK_CELLS cells of k = 1..N.
     """
-    lf = _log_factorials(N)
-    ks = np.arange(1, N + 1)
-    scale = 4.0 * N * math.log(N)
     step = max(1, _HYPERGEOM_CHUNK_CELLS // N)
     for r0 in range(0, N * N, step):
         r = np.arange(r0, min(r0 + step, N * N))
         M, n = r[:, None] // N + 1, r[:, None] % N + 1
-        w = lf[M] - lf[ks]
-        w -= lf.take(M - ks, mode="clip")
-        other = lf[N - M] - lf.take(n - ks, mode="clip")
-        other -= lf.take(N - M - n + ks, mode="clip")
-        w += other
-        w -= (lf[N] - lf[n]) - lf[N - n]
-        w[(ks < n + M - N) | (ks > np.minimum(n, M))] = -np.inf
-        np.exp(w, out=w)
-        ratio = ks / (n * M / N)
-        np.log(ratio, out=ratio)
-        w *= np.abs(ratio, out=ratio)
-        lhs = np.array([math.fsum(terms.tolist()) for terms in w])
-        nm = (n * M).ravel()
-        rhs = scale / nm + 2.0 * np.sqrt(N / nm)
+        lhs, rhs = _hypergeometric_log_bound(N, M, n)
         yield from zip(M.ravel().tolist(), n.ravel().tolist(), lhs.tolist(), rhs.tolist(),
-                       (lhs <= rhs + _BOUND_SLACK).tolist())
+                       _holds(lhs, rhs).tolist())
 
 
 @lru_cache(maxsize=16)

@@ -35,7 +35,6 @@ from .exact_depth import (
     poisson_bound_report,
 )
 from .mixing import (
-    DiscreteMeasure,
     _measure_rows,
     _measure_wasserstein_rows,
     _mixed_poisson_rows,
@@ -177,10 +176,6 @@ def _measure_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return locations, weights
 
 
-def _random_measure(rng: np.random.Generator) -> DiscreteMeasure:
-    return DiscreteMeasure(*_measure_draw(rng))
-
-
 def _lemma4b(sw: _Sweep) -> Checks:
     """W1 of the mixed Poisson laws of two random measures against W1 of the
     measures, one chunked numpy pass: each chunk draws its trials' measures
@@ -210,10 +205,6 @@ def _pmf_draw(rng: np.random.Generator) -> tuple[int, np.ndarray]:
     offset = int(rng.integers(0, PMF_MAX_OFFSET + 1))
     masses = rng.random(width) + 1e-3
     return offset, masses / masses.sum()
-
-
-def _random_pmf(rng: np.random.Generator) -> Pmf:
-    return Pmf.from_masses(*_pmf_draw(rng))
 
 
 def _metrics(sw: _Sweep) -> Checks:

@@ -15,15 +15,18 @@ from scipy.special import gammaln
 
 from depthlab import exact_depth
 from depthlab.distributions import (
+    BoundReport,
     Pmf,
     _pow2_at_least,
     mean_var,
     record_count_pmf,
+    shared_harmonic_table,
     total_variation,
 )
 from depthlab.exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
+    MIXING_VARIANCE_BOUND,
     CapExceededError,
     _HYPERGEOM_CHUNK_CELLS,
     _brute_depth_counts,
@@ -439,26 +442,50 @@ def test_mixing_variance_matches_mpmath_at_baseline_point():
 
 
 def test_mixing_variance_matches_harmonic_measure_grid():
-    # The closed form against the variance of the H_i + H_j grid measure.
+    # The closed form against the variance of the H_i + H_j grid measure,
+    # one report call and one suite row per key.
+    rows = iter(run_suite("lemma2", n_max=40))
     for n in range(1, 41):
         for l in range(1, n + 1):
             grid = measure_variance(harmonic_mixing_measure(predecessor_joint(n, l)))
             assert abs(mixing_variance_report(n, l).lhs - grid) < 1e-12, (n, l)
+            row = next(rows)
+            assert row["params"] == {"n": n, "l": l}
+            assert abs(row["lhs"] - grid) < 1e-12, (n, l)
 
 
-def test_lemma2_rows_equal_the_per_row_report():
+def scalar_mixing_variance(n, l):
+    """Test-side reference: mixing_variance_report's formula one key at a
+    time, with a scalar square of H_k (C pow()) and one fsum over m = 1..b."""
+    mean = depth_mean(n, l)
+    H = shared_harmonic_table(n).H
+    a, b = max(l - 1, n - l), min(l - 1, n - l)
+
+    def second_moment(k):
+        return ((k + 1) * H[k] ** 2 - (2 * k + 1) * H[k] + 2 * k) / (k + 1)
+
+    m = np.arange(1, b + 1)
+    cross = (H[a + 1] - 1.0) * H[b] - H[a] * b / (b + 1) + math.fsum(
+        ((H[a] + H[2 : b + 2] - H[a + 2 : a + b + 2]) / (m * (m + 1))).tolist()
+    )
+    return BoundReport.check(second_moment(a) + second_moment(b) + 2.0 * cross - mean * mean,
+                             MIXING_VARIANCE_BOUND)
+
+
+def test_lemma2_rows_equal_the_scalar_reference():
     rows = run_suite("lemma2")
     expected = [(n, l) for n in range(1, 301) for l in range(1, n + 1)]
     assert [(r["params"]["n"], r["params"]["l"]) for r in rows] == expected
     for r in rows:
-        rep = mixing_variance_report(r["params"]["n"], r["params"]["l"])
-        assert (r["lhs"], r["rhs"], r["holds"]) == (rep.lhs, rep.rhs, rep.holds), r["params"]
+        ref = scalar_mixing_variance(r["params"]["n"], r["params"]["l"])
+        assert (r["lhs"], r["rhs"], r["holds"]) == (ref.lhs, ref.rhs, ref.holds), r["params"]
     # H_491^2 and H_1229^2 are the first entries where numpy's array square
-    # differs in the last bit from the report's scalar square.
+    # differs in the last bit from the scalar square.
     for n in (600, 1300):
         for l, row in enumerate(_mixing_variance_rows(n), start=1):
-            rep = mixing_variance_report(n, l)
-            assert row == (rep.lhs, rep.rhs, rep.holds), (n, l)
+            ref = scalar_mixing_variance(n, l)
+            assert row == (ref.lhs, ref.rhs, ref.holds), (n, l)
+            assert mixing_variance_report(n, l) == ref, (n, l)
 
 
 def test_mixing_variance_report_memory_is_linear_in_n():
@@ -501,13 +528,49 @@ def test_hypergeom_bound_domain():
         hypergeometric_log_bound_report(2, 3, 1)
 
 
-def test_lemma5_rows_equal_the_per_row_report():
+def scalar_hypergeometric_log_bound(N, M, n):
+    """Test-side reference: hypergeometric_log_bound_report's formula for one
+    (N, M, n), the pmf over the row's own support k_lo..k_hi."""
+    ex = n * M / N
+    ks = np.arange(max(0, n - (N - M)), min(n, M) + 1)
+    lf = _log_factorials(N)
+    pmf = np.exp(
+        (lf[M] - lf[ks] - lf[M - ks]) + (lf[N - M] - lf[n - ks] - lf[N - M - n + ks])
+        - (lf[N] - lf[n] - lf[N - n])
+    )
+    positive = ks >= 1
+    lhs = math.fsum((pmf[positive] * np.abs(np.log(ks[positive] / ex))).tolist())
+    rhs = 4.0 * N * math.log(N) / (n * M) + 2.0 * math.sqrt(N / (n * M))
+    return BoundReport.check(lhs, rhs)
+
+
+def test_lemma5_rows_equal_the_scalar_reference():
     rows = run_suite("lemma5", n_max=40)
     expected = [(N, M, n) for N in range(1, 41) for M in range(1, N + 1) for n in range(1, N + 1)]
     assert [(r["params"]["N"], r["params"]["M"], r["params"]["n"]) for r in rows] == expected
     for r in rows:
-        rep = hypergeometric_log_bound_report(r["params"]["N"], r["params"]["M"], r["params"]["n"])
-        assert (r["lhs"], r["rhs"], r["holds"]) == (rep.lhs, rep.rhs, rep.holds), r["params"]
+        ref = scalar_hypergeometric_log_bound(r["params"]["N"], r["params"]["M"], r["params"]["n"])
+        assert (r["lhs"], r["rhs"], r["holds"]) == (ref.lhs, ref.rhs, ref.holds), r["params"]
+
+
+def test_lemma5_rows_match_exact_rational_pmf():
+    # An oracle that shares no table with the kernel: the pmf as an exact
+    # ratio of binomial coefficients, rounded once to a float.
+    comb = lru_cache(maxsize=None)(math.comb)
+    worst = 0.0
+    for r in run_suite("lemma5", n_max=40):
+        N, M, n = r["params"]["N"], r["params"]["M"], r["params"]["n"]
+        total = comb(N, n)
+        ref = math.fsum(
+            float(Fraction(comb(M, k) * comb(N - M, n - k), total)) * abs(math.log(k * N / (n * M)))
+            for k in range(max(1, n + M - N), min(n, M) + 1)
+        )
+        if ref == 0.0:
+            assert abs(r["lhs"]) <= 1e-15, (N, M, n)
+        else:
+            worst = max(worst, abs(r["lhs"] - ref) / ref)
+        assert r["rhs"] == 4.0 * N * math.log(N) / (n * M) + 2.0 * math.sqrt(N / (n * M)), (N, M, n)
+    assert worst <= 2e-13, worst
 
 
 def test_lemma5_rows_memory_is_one_chunk():
@@ -524,8 +587,25 @@ def test_lemma5_rows_memory_is_one_chunk():
     # A few chunk-sized float64 arrays; one M's slab of N * N cells would be 32 MB.
     assert peak < 6 * _HYPERGEOM_CHUNK_CELLS * 8
     M, n, lhs, rhs, holds = got[-1]
-    rep = hypergeometric_log_bound_report(N, M, n)
-    assert (lhs, rhs, holds) == (rep.lhs, rep.rhs, rep.holds)
+    ref = scalar_hypergeometric_log_bound(N, M, n)
+    assert (lhs, rhs, holds) == (ref.lhs, ref.rhs, ref.holds)
+
+
+def test_hypergeometric_report_memory_is_its_support():
+    # One report evaluates k over its own support only.  Measured peaks with
+    # numpy 2.4.6: 0.32 MB for (20000, 10000, 5000), a support of 5000, and
+    # 2 kB for (20000, 10000, 19999), a support of 2; a k = 1..N rectangle
+    # takes 1.28 MB on either.
+    for N, M, n in ((20000, 10000, 5000), (20000, 10000, 19999)):
+        support = min(n, M) - max(1, n + M - N) + 1
+        hypergeometric_log_bound_report(N, M, n)  # fill the table cache outside the trace
+        tracemalloc.start()
+        try:
+            hypergeometric_log_bound_report(N, M, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * support + 16384, (N, M, n, peak)
 
 
 def test_log_factorials_are_prefixes_of_one_table_per_power_of_two():

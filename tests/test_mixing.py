@@ -33,7 +33,7 @@ from depthlab.mixing import (
     measure_wasserstein,
     mixed_poisson_pmf,
 )
-from depthlab.verify import _random_measure, run_suite
+from depthlab.verify import _measure_draw, run_suite
 
 
 def random_measure(rng, max_rate=20.0, max_atoms=8):
@@ -390,7 +390,8 @@ def test_measure_wasserstein_equals_scipy_stats():
         return stats.wasserstein_distance(mu.locations, nu.locations, mu.weights, nu.weights)
 
     rng = np.random.default_rng(2024)
-    pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(1000)]
+    pairs = [(DiscreteMeasure(*_measure_draw(rng)), DiscreteMeasure(*_measure_draw(rng)))
+             for _ in range(1000)]
     pairs.append((
         DiscreteMeasure.from_atoms([(0.0, 0.25), (1.5, 0.5), (4.0, 0.25)]),
         DiscreteMeasure.from_atoms([(1.5, 0.125), (4.0, 0.625), (9.0, 0.25)]),

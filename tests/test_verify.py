@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from depthlab.distributions import mean_var, total_variation, wasserstein
+from depthlab.distributions import Pmf, mean_var, total_variation, wasserstein
 from depthlab.exact_depth import _brute_depth_counts, _jd_blocks
 from depthlab.mixing import (
     DiscreteMeasure,
@@ -19,8 +19,7 @@ from depthlab.verify import (
     LEMMA4B_CHUNK,
     ROOTSPLIT_EVERY_KEY_MAX,
     _measure_draw,
-    _random_measure,
-    _random_pmf,
+    _pmf_draw,
     run_suite,
 )
 
@@ -50,6 +49,7 @@ def _forbid(monkeypatch, name):
         ("metrics", {}, "total_variation"),
         ("metrics", {}, "wasserstein"),
         ("metrics", {}, "mean_var"),
+        ("lemma5", {"n_max": 20}, "hypergeometric_log_bound_report"),
     ],
 )
 def test_suite_makes_no_per_row_call(monkeypatch, suite, kwargs, per_row):
@@ -76,7 +76,7 @@ def test_rootsplit_reaches_a_band_cut_block():
 def _lemma4b_per_trial(seed, trials):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        mu, nu = _random_measure(rng), _random_measure(rng)
+        mu, nu = DiscreteMeasure(*_measure_draw(rng)), DiscreteMeasure(*_measure_draw(rng))
         lhs = float(wasserstein(mixed_poisson_pmf(mu), mixed_poisson_pmf(nu)))
         rhs = measure_wasserstein(mu, nu) + 1e-8
         yield lhs, rhs, lhs <= rhs
@@ -85,7 +85,7 @@ def _lemma4b_per_trial(seed, trials):
 def _metrics_per_trial(seed, trials):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        p, q = _random_pmf(rng), _random_pmf(rng)
+        p, q = Pmf.from_masses(*_pmf_draw(rng)), Pmf.from_masses(*_pmf_draw(rng))
         tv = float(total_variation(p, q))
         dw = float(wasserstein(p, q))
         yield tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10
