@@ -216,11 +216,22 @@ def _holds(lhs, rhs):
     return lhs <= rhs + _BOUND_SLACK
 
 
+# H_k and H_k^(2) below this k are Kahan-compensated running sums; from it on,
+# their asymptotic series.
+_HARMONIC_SERIES_MIN_K = 64
+
+
 def harmonic_table(n_max: int) -> HarmonicTable:
     """Tables of H_k = sum 1/i and H_k^(2) = sum 1/i^2 for k = 0..n_max.
 
-    Kahan-compensated running sums, so entries stay within ~1e-15 of the true
-    values even at k = 10^6.
+    Below k = _HARMONIC_SERIES_MIN_K, Kahan-compensated running sums.  From
+    it on, the asymptotic series
+        H_k = log k + gamma + 1/(2k) - 1/(12k^2) + 1/(120k^4) - 1/(252k^6) + 1/(240k^8),
+        H_k^(2) = pi^2/6 - 1/k + 1/(2k^2) - 1/(6k^3) + 1/(30k^5) - 1/(42k^7) + 1/(30k^9),
+    the second being pi^2/6 - psi'(k + 1); their next terms are below 1e-20
+    at k = 64.  Entries are within 2 ulp of the true values up to 2^15 and
+    within 1e-13 at k = 10^6.  Each entry depends on k alone, so a table is a
+    prefix of every larger one.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -229,7 +240,8 @@ def harmonic_table(n_max: int) -> HarmonicTable:
     H[0] = 0.0
     H2[0] = 0.0
     s = c = s2 = c2 = 0.0
-    for k in range(1, n_max + 1):
+    head = min(n_max + 1, _HARMONIC_SERIES_MIN_K)
+    for k in range(1, head):
         y = 1.0 / k - c
         t = s + y
         c = (t - s) - y
@@ -241,6 +253,14 @@ def harmonic_table(n_max: int) -> HarmonicTable:
         c2 = (t2 - s2) - y2
         s2 = t2
         H2[k] = s2
+    if head <= n_max:  # small tables skip the numpy calls' fixed cost
+        x = np.arange(float(head), n_max + 1.0)
+        r = 1.0 / x
+        r2 = r * r
+        H[head:] = np.log(x) + (np.euler_gamma + r * (
+            0.5 - r * (1 / 12 - r2 * (1 / 120 - r2 * (1 / 252 - r2 / 240)))))
+        H2[head:] = math.pi**2 / 6 - r * (
+            1.0 - r * (0.5 - r * (1 / 6 - r2 * (1 / 30 - r2 * (1 / 42 - r2 / 30)))))
     return HarmonicTable(H=H, H2=H2)
 
 

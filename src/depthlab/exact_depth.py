@@ -9,9 +9,9 @@ banded grid: each block of rows is evaluated in closed form only over the
 columns that carry mass, and the mass left out is bounded and booked in
 truncated_tail.  The cost is O(c s + l s^2) with c the number of band cells
 and s the record-pmf support width.  For a central key the band holds about
-16% of the l (n-l+1) grid cells at n = 16384 and 10% at n = 32768; a cold
-exact_depth_pmf(16384, 8192) takes 0.15-0.19 s on 2 vCPU, 0.01 s of it in
-the record matrix.
+14% of the l (n-l+1) grid cells at n = 16384 and 10% at n = 32768; the
+first exact_depth_pmf(16384, 8192) in a process takes about 30 ms on 2 vCPU
+(AMD EPYC), 2 ms of it in the record matrix.
 
 A second exact route shares nothing with the grid: the root of a random BST
 is uniform, so the laws of every key of every size up to N follow from the
@@ -74,14 +74,16 @@ __all__ = [
 ]
 
 # Exact computation is capped by the time of the banded grid sweep: a central
-# key at the cap evaluates ~10% of its l * (n - l + 1) grid cells, about 0.3 s
-# and under 10 MiB of transient arrays on 2 vCPU.
+# key at the cap evaluates ~10% of its l * (n - l + 1) grid cells, about 70 ms
+# and under 5 MiB of transient arrays on 2 vCPU.
 DEFAULT_N_CAP = 32768
 
 # The enumeration oracle visits all n! permutations.
 BRUTE_FORCE_CAP = 9
 
-_JD_BLOCK_ROWS = 256
+# Rows per grid block.  A central block's band at n = 16384 is about 1.4 MiB,
+# near L2 size; 128 rows ran faster there than 256, 64 or 32.
+_JD_BLOCK_ROWS = 128
 
 # Cells per chunk of the batched Lemma 5 rows: a few float64 arrays of this
 # size (2 MiB each) are alive at once, whatever N is.
@@ -179,7 +181,10 @@ def _jd_blocks(n: int, l: int, banded: bool = True):
     of the chunk's last two columns, booked per row in ``tail``.  Rows are
     renormalized to their exact mass 1/l minus the booked tail, which removes
     the log-gamma rounding of the closed form.  Without ``banded`` every
-    column is evaluated and ``tail`` is zero.
+    column is evaluated and ``tail`` is zero.  Every block is written into
+    one work buffer, allocated once and regrown only when a band is wider
+    than any before it, so each yielded w is overwritten by the next block:
+    a caller that keeps a block copies it.
     """
     lf = _log_factorials(n)
     width = n - l + 1
@@ -191,6 +196,7 @@ def _jd_blocks(n: int, l: int, banded: bool = True):
     c = lf[:n] + lf[n - 1 :: -1]
     cw = np.ndarray((l, width), buffer=c, strides=(c.itemsize, c.itemsize))
     cw.flags.writeable = False
+    buffer = np.empty(0)
     for i0 in range(0, l, _JD_BLOCK_ROWS):
         i1 = min(i0 + _JD_BLOCK_ROWS, l)
         a_blk, cw_blk = a[i0:i1], cw[i0:i1]
@@ -202,7 +208,11 @@ def _jd_blocks(n: int, l: int, banded: bool = True):
             jlo, jhi, tail = _jd_band(n, l, i0, i1, cells)
         else:
             jlo, jhi, tail = 0, width, np.zeros(i1 - i0)
-        w = np.add.outer(a_blk, b[jlo:jhi])
+        size = (i1 - i0) * (jhi - jlo)
+        if buffer.size < size:  # doubled, so that a widening band regrows it rarely
+            buffer = np.empty(2 * size)
+        w = buffer[:size].reshape(i1 - i0, jhi - jlo)
+        np.add(a_blk[:, None], b[jlo:jhi], out=w)
         w += cw_blk[:, jlo:jhi]
         np.exp(w, out=w)
         w *= ((1.0 / l - tail) / w.sum(axis=1))[:, None]
@@ -264,8 +274,10 @@ def predecessor_joint(n: int, l: int) -> PredecessorJoint:
     _validate_nl(n, l)
     if n > DEFAULT_N_CAP:
         raise CapExceededError("joint predecessor grid", n, DEFAULT_N_CAP)
-    blocks = [w for _, _, w, _ in _jd_blocks(n, l, banded=False)]
-    return PredecessorJoint(n=n, l=l, weights=np.vstack(blocks))
+    weights = np.empty((l, n - l + 1))
+    for i0, _, w, _ in _jd_blocks(n, l, banded=False):
+        weights[i0 : i0 + w.shape[0]] = w  # w lives in a buffer the next block overwrites
+    return PredecessorJoint(n=n, l=l, weights=weights)
 
 
 @lru_cache(maxsize=4)

@@ -17,7 +17,8 @@ arrival keys, which replaced a shuffle per row, changed every bst and find
 sample again.  A stream, identified by (seed, stream_id), always replays the
 same draws, so collect_samples is a pure function of (route, n, l, count,
 seed, streams); a parallel run gives each worker one stream and reduces in
-stream order.
+stream order.  find's streams are keyed apart from the other routes' (see
+_route_generator), so it never sorts the keys bst reads on the same seed.
 """
 
 from __future__ import annotations
@@ -57,9 +58,23 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-            self._gen = np.random.Generator(np.random.PCG64(seq))
+            self._gen = _generator(self.seed, (self.stream_id,))
         return self._gen
+
+
+def _generator(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _route_generator(route: str, seed: int, stream_id: int) -> np.random.Generator:
+    """The generator of one stream of collect_samples on the named route.
+
+    find sorts the very arrival keys that bst reads, so on one (seed, stream)
+    the two routes would give equal samples: find's streams take one more
+    spawn-key word, and the other routes keep RngStream's (stream_id,).
+    """
+    return _generator(seed, (stream_id, 1) if route == "find" else (stream_id,))
 
 
 def random_permutation(n: int, rng: RngStream) -> Permutation:
@@ -295,5 +310,5 @@ def collect_samples(
     base, extra = divmod(count, streams)
     for sid in range(streams):
         quota = base + (1 if sid < extra else 0)
-        out.extend(_draw(route, n, l, quota, RngStream(seed, sid).generator))
+        out.extend(_draw(route, n, l, quota, _route_generator(route, seed, sid)))
     return out

@@ -14,7 +14,7 @@ import numpy as np
 import depthlab as dl
 from depthlab.distributions import harmonic_table
 from depthlab.exact_depth import _depth_law_rows
-from depthlab.montecarlo import RngStream, _draw
+from depthlab.montecarlo import RngStream
 from depthlab.verify import run_suite
 
 BASELINES = json.loads((Path(__file__).parent / "data" / "baselines.json").read_text())
@@ -364,12 +364,9 @@ def test_criterion_13_sampler_cross_validation():
     n, l, count = 100, 37, 100_000
     exact = dl.exact_depth_pmf(n, l)
     emps = {}
-    for route in ("bst", "representation"):
+    for route in ("bst", "representation", "find"):
         samples = dl.collect_samples(route, n, l, count, seed=8675309)
         emps[route] = dl.empirical_pmf(samples)
-    # On one stream find orders the same keys that bst reads, so the two
-    # would give equal samples row by row; find reads stream 1 instead.
-    emps["find"] = dl.empirical_pmf(_draw("find", n, l, count, RngStream(8675309, 1).generator))
     vs_exact = {
         route: float(dl.total_variation(emp, exact)) for route, emp in emps.items()
     }

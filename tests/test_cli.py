@@ -312,6 +312,15 @@ def test_simulate_raw_samples():
     assert all(0 <= v <= 3 for v in values)
 
 
+def test_simulate_bst_and_find_draw_apart_on_one_seed():
+    # find sorts the arrival keys that bst reads: on a shared stream the two
+    # routes would print the same samples.
+    argv = ["simulate", "--n", "200", "--l", "77", "--samples", "5000", "--seed", "4", "--raw"]
+    outs = {route: run_cli(argv + ["--route", route]) for route in ("bst", "find")}
+    assert outs["bst"][0] == outs["find"][0] == 0
+    assert outs["bst"][1] != outs["find"][1]
+
+
 def test_output_path_option(tmp_path):
     target = tmp_path / "out.json"
     code, captured = run_cli(

@@ -11,12 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy import stats
 from scipy.special import gammaln, pdtrc
 
 import depthlab
 from depthlab.distributions import (
     BoundReport,
+    _HARMONIC_SERIES_MIN_K,
     Pmf,
     _poisson_blocks,
     _poisson_terms,
@@ -144,6 +146,50 @@ def test_harmonic_table_accuracy_at_scale():
         assert abs(h.H[k] - exact) < 1e-13
     exact2 = math.fsum(1.0 / (i * i) for i in range(1, 1001))
     assert abs(h.H2[1000] - exact2) < 1e-13
+
+
+def _kahan_harmonic(n_max):
+    # Reference for the head: running Kahan sums, the library's rule below
+    # _HARMONIC_SERIES_MIN_K.
+    H, H2 = [0.0], [0.0]
+    s = c = s2 = c2 = 0.0
+    for k in range(1, n_max + 1):
+        y = 1.0 / k - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        y2 = 1.0 / (k * k) - c2
+        t2 = s2 + y2
+        c2 = (t2 - s2) - y2
+        s2 = t2
+        H.append(s)
+        H2.append(s2)
+    return np.array(H), np.array(H2)
+
+
+def test_harmonic_head_is_the_kahan_loop_bit_for_bit():
+    h = harmonic_table(2 * _HARMONIC_SERIES_MIN_K)
+    H, H2 = _kahan_harmonic(_HARMONIC_SERIES_MIN_K - 1)
+    assert np.array_equal(h.H[:_HARMONIC_SERIES_MIN_K], H)
+    assert np.array_equal(h.H2[:_HARMONIC_SERIES_MIN_K], H2)
+
+
+def test_harmonic_series_tail_within_2_ulp_of_mpmath():
+    h = harmonic_table(2**15)
+    k0 = _HARMONIC_SERIES_MIN_K
+    with mp.workdps(40):
+        for k in (k0 - 1, k0, k0 + 1, 10**3, 2**14, 2**15):
+            for got, exact in ((h.H[k], mp.harmonic(k)), (h.H2[k], mp.zeta(2) - mp.psi(1, k + 1))):
+                ulps = abs(mpf(float(got)) - exact) / math.ulp(float(exact))
+                assert ulps <= 2, (k, float(got), ulps)
+
+
+def test_harmonic_tables_are_prefixes_of_larger_ones():
+    big = harmonic_table(5000)
+    for m in (0, 1, _HARMONIC_SERIES_MIN_K - 1, _HARMONIC_SERIES_MIN_K, 1000, 4999):
+        small = harmonic_table(m)
+        assert np.array_equal(small.H, big.H[: m + 1]), m
+        assert np.array_equal(small.H2, big.H2[: m + 1]), m
 
 
 def test_harmonic_rejects_negative():

@@ -29,6 +29,7 @@ from depthlab.exact_depth import (
     MIXING_VARIANCE_BOUND,
     CapExceededError,
     _HYPERGEOM_CHUNK_CELLS,
+    _JD_BLOCK_ROWS,
     _brute_depth_counts,
     _depth_law_rows,
     _hypergeometric_log_bound_rows,
@@ -146,17 +147,32 @@ def _oracle_keys(n):
     return sorted({l for l in (1, 2, -(-n // 4), -(-n // 2), n - 1, n) if 1 <= l <= n})
 
 
+# Keys whose last block is one row short of, exactly, or one row past a full
+# block, and one past two blocks.
+_BLOCK_EDGE_CASES = [(3000, l) for l in (_JD_BLOCK_ROWS - 1, _JD_BLOCK_ROWS, _JD_BLOCK_ROWS + 1,
+                                         2 * _JD_BLOCK_ROWS + 1)]
+
+
 def test_exact_matches_dense_oracle():
     cases = [(n, l) for n in (1, 2, 3, 10, 257, 1000, 3000) for l in _oracle_keys(n)]
     # At l = 100 one block's modes span more than the whole row width.
-    for n, l in cases + [(16384, 100)]:
+    for n, l in cases + _BLOCK_EDGE_CASES + [(16384, 100)]:
         d = total_variation(exact_depth_pmf(n, l), _dense_depth_pmf(n, l))
         assert float(d) < 1e-12, (n, l, float(d))
 
 
+def test_joint_grid_matches_dense_oracle_across_blocks():
+    # The blocks are built in one reused buffer, so the full grid must copy
+    # each block before the next one overwrites it.
+    for n, l in ((600, 300), (1000, 999)):
+        assert l > 2 * _JD_BLOCK_ROWS
+        dense = _dense_joint(n, l)
+        np.testing.assert_allclose(predecessor_joint(n, l).weights, dense, rtol=0, atol=1e-15)
+
+
 def test_booked_tail_covers_out_of_band_mass():
     cases = [(257, l) for l in range(1, 258, 16)]
-    cases += [(3000, 750), (3000, 1500), (16384, 100)]
+    cases += [(3000, 750), (3000, 1500), (16384, 100)] + _BLOCK_EDGE_CASES
     for n, l in cases:
         dense = _dense_joint(n, l)
         outside = 0.0

@@ -20,6 +20,7 @@ from depthlab.montecarlo import (
     _permutation_rows,
     _predecessor_split,
     _record_counts,
+    _route_generator,
     collect_samples,
     empirical_pmf,
     random_permutation,
@@ -305,9 +306,12 @@ def test_collect_samples_gives_each_stream_its_own_id():
     n, l, K, seed = 60, 25, 400, 17
     for route in ("bst", "find", "representation", "key"):
         key = None if route == "key" else l
-        halves = [_draw(route, n, key, K, RngStream(seed, sid).generator) for sid in (0, 1)]
+        halves = [_draw(route, n, key, K, _route_generator(route, seed, sid)) for sid in (0, 1)]
         assert collect_samples(route, n, key, 2 * K, seed, streams=2) == halves[0] + halves[1]
         assert halves[0] != halves[1], route
+        if route != "find":  # only find's streams are keyed apart from RngStream's
+            assert halves == [_draw(route, n, key, K, RngStream(seed, sid).generator)
+                              for sid in (0, 1)], route
 
 
 def test_route_agreement_full_fidelity():
@@ -321,11 +325,8 @@ def test_route_agreement_full_fidelity():
         exact = exact_depth_pmf(n, l)
         emps = {
             route: empirical_pmf(collect_samples(route, n, l, 100_000, seed=1999))
-            for route in ("bst", "representation")
+            for route in ("bst", "representation", "find")
         }
-        # On one stream find orders the same keys that bst reads, so the two
-        # would give equal samples row by row; find reads stream 1 instead.
-        emps["find"] = empirical_pmf(_draw("find", n, l, 100_000, RngStream(1999, 1).generator))
         for route, emp in emps.items():
             assert float(total_variation(emp, exact)) < 0.01, (n, l, route)
         routes = list(emps)
