@@ -33,7 +33,7 @@ from .exact_depth import (
 )
 from .montecarlo import RngStream, collect_samples, empirical_pmf, random_permutation
 from .trees import Permutation, depth_plot
-from .verify import SUITES, run_suite
+from .verify import SUITES, suite_table
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -152,23 +152,26 @@ def cmd_approx(args, out) -> int:
 def cmd_verify(args, out) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     flags = {k: getattr(args, k) for k in ("n", "n_max", "trials", "seed", "cap")}
-    rows = [row for suite in suites for row in run_suite(suite, **flags)]
-    if not rows:
+    tables = [suite_table(suite, **flags) for suite in suites]
+    checks = sum(len(table) for table in tables)
+    if not checks:
         raise ValueError("the selected sweep has no checks")
-    failed = [r for r in rows if not r["holds"]]
+    # Row dicts are built only for the rows that are printed.
+    failed = [r for table in tables for r in table.rows(failed_only=True)]
+    shown = [r for table in tables for r in table.rows()] if args.all_rows else failed
     if args.format == "json":
         _emit_json(
             {
                 "meta": _meta("verify", suites=suites),
-                "checks": len(rows),
+                "checks": checks,
                 "failures": len(failed),
-                "rows": rows if args.all_rows else failed,
+                "rows": shown,
             },
             out,
         )
     else:
         out.write("suite,params,lhs,rhs,holds\n")
-        for r in rows if args.all_rows else failed:
+        for r in shown:
             params = ";".join(f"{k}={v}" for k, v in r["params"].items())
             rhs = "" if r["rhs"] is None else _fmt(r["rhs"])
             out.write(f"{r['suite']},{params},{_fmt(r['lhs'])},{rhs},{r['holds']}\n")
@@ -177,7 +180,7 @@ def cmd_verify(args, out) -> int:
             msg = f"FAILED {r['suite']} {r['params']}: lhs={r['lhs']} rhs={r['rhs']}"
             print(msg, file=sys.stderr)
         return EXIT_BOUND_VIOLATION
-    print(f"verified {len(rows)} checks across {len(suites)} suite(s)", file=sys.stderr)
+    print(f"verified {checks} checks across {len(suites)} suite(s)", file=sys.stderr)
     return EXIT_OK
 
 

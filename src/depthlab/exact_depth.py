@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Collection, Iterator
 
 import numpy as np
@@ -45,7 +44,6 @@ from .distributions import (
     shared_harmonic_table,
     total_variation,
     wasserstein,
-    _holds,
     _ln_table,  # perfbench counts this cache as exact_depth._ln_table
     _log_factorials,
     _pow2_at_least,
@@ -85,8 +83,9 @@ BRUTE_FORCE_CAP = 9
 # near L2 size; 128 rows ran faster there than 256, 64 or 32.
 _JD_BLOCK_ROWS = 128
 
-# Cells per chunk of the batched Lemma 5 rows: a few float64 arrays of this
-# size (2 MiB each) are alive at once, whatever N is.
+# Cells per chunk of the batched Lemma 2 and Lemma 5 rows: a few float64
+# arrays of this size (2 MiB each) are alive at once, whatever n or N is.
+_MIXING_CHUNK_CELLS = 1 << 18
 _HYPERGEOM_CHUNK_CELLS = 1 << 18
 
 # The banded grid walk steps through columns in chunks of this many
@@ -477,9 +476,10 @@ def mixing_variance_report(n: int, l: int) -> BoundReport:
 def _mixing_variance_lhs(n: int, b: np.ndarray) -> np.ndarray:
     """mixing_variance_report's variance for each shorter side b = min(l-1, n-l).
 
-    The cross-term sums are one rectangle of cells (row, m), m = 1..max(b).
-    Cells with m > b are padding: their H[a+m+1] lookups are clipped into
-    the table, and they never enter the row's fsum.
+    The cross-term sums are rectangles of cells (row, m), m = 1..max(b), over
+    chunks of rows of at most _MIXING_CHUNK_CELLS cells.  Cells with m > b
+    are padding: their H[a+m+1] lookups are clipped into the table, and they
+    never enter the row's fsum.
     """
     H = shared_harmonic_table(n).H
     a = n - 1 - b
@@ -492,26 +492,28 @@ def _mixing_variance_lhs(n: int, b: np.ndarray) -> np.ndarray:
     k = k.astype(float)  # cast once, not in every operation below
     second_a, second_b = ((k + 1) * h2 - (2 * k + 1) * h + 2 * k) / (k + 1)
     mean = h_b1 + h_a1 - 2.0
-    m = np.arange(1, b.max() + 1)
-    terms = h_a[:, None] + H[m + 1]
-    terms -= H.take(a[:, None] + m + 1, mode="clip")
-    terms /= m * (m + 1)
-    sums = np.array([math.fsum(row[:width].tolist()) for width, row in zip(b.tolist(), terms)])
+    sums = np.empty(len(b))
+    step = max(1, _MIXING_CHUNK_CELLS // max(1, int(b.max())))
+    for r in range(0, len(b), step):
+        rows = slice(r, r + step)
+        m = np.arange(1, b[rows].max() + 1)
+        terms = h_a[rows, None] + H[m + 1]
+        terms -= H.take(a[rows, None] + m + 1, mode="clip")
+        terms /= m * (m + 1)
+        sums[rows] = [math.fsum(row[:width].tolist()) for width, row in zip(b[rows].tolist(), terms)]
     cross = (h_a1 - 1.0) * h_b - h_a * b / (b + 1) + sums
     return second_a + second_b + 2.0 * cross - mean * mean
 
 
-def _mixing_variance_rows(n: int) -> list[tuple[float, float, bool]]:
-    """(lhs, rhs, holds) of mixing_variance_report(n, l) for l = 1..n.
+def _mixing_variance_rows(n: int) -> np.ndarray:
+    """The lhs of mixing_variance_report(n, l) for l = 1..n.
 
     The report depends on l only through b = min(l-1, n-l), so one kernel
     row per b = 0..(n-1)//2 serves the keys l = b+1 and n-b.
     """
     _validate_nl(n, 1)
     k = np.arange(n)
-    lhs = _mixing_variance_lhs(n, np.arange((n - 1) // 2 + 1))[np.minimum(k, n - 1 - k)]
-    return list(zip(lhs.tolist(), repeat(MIXING_VARIANCE_BOUND),
-                    _holds(lhs, MIXING_VARIANCE_BOUND).tolist()))
+    return _mixing_variance_lhs(n, np.arange((n - 1) // 2 + 1))[np.minimum(k, n - 1 - k)]
 
 
 def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
@@ -525,52 +527,59 @@ def hypergeometric_log_bound_report(N: int, M: int, n: int) -> BoundReport:
         raise ValueError(f"need 0 <= M,n <= N, got N={N}, M={M}, n={n}")
     if n * M < 1:
         raise ValueError("degenerate case n*M = 0")
-    lhs, rhs = _hypergeometric_log_bound(N, np.array([[M]]), np.array([[n]]))
+    lhs, rhs = _hypergeometric_log_bound(*(np.array([x]) for x in (N, M, n)))
     return BoundReport.check(lhs[0], rhs[0])
 
 
 def _hypergeometric_log_bound(
-    N: int, M: np.ndarray, n: np.ndarray
+    N: np.ndarray, M: np.ndarray, n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs of hypergeometric_log_bound_report(N, M, n) for column
-    vectors M and n, all n * M >= 1.
+    """lhs and rhs of hypergeometric_log_bound_report for each row (N, M, n)
+    of three int arrays, all n * M >= 1.
 
-    The pmf terms are one rectangle of cells (row, k), k over the union of
-    the rows' supports max(1, n+M-N) <= k <= min(n, M).  Lookups off a row's
-    support are clipped into the table, and those cells are set to log 0
-    before the exp so that they add 0.0 to their row's fsum.
+    Row r's pmf terms are the k of its own support lo..hi, lo = max(1,
+    n+M-N) and hi = min(n, M).  The rows of one support width w are one
+    rectangle k = lo[:, None] + arange(w), cut into chunks of at most
+    _HYPERGEOM_CHUNK_CELLS cells, so no lookup leaves a row's support and no
+    cell is padding.  Each row's terms are summed by math.fsum, which does
+    not depend on their order, and the sum goes back to the row's position.
     """
-    lf = _log_factorials(N)
-    ks = np.arange(max(1, int((n + M).min()) - N), int(np.minimum(n, M).max()) + 1)
-    w = lf[M] - lf[ks]
-    w -= lf.take(M - ks, mode="clip")
-    other = lf[N - M] - lf.take(n - ks, mode="clip")
-    other -= lf.take(N - M - n + ks, mode="clip")
-    w += other
-    w -= (lf[N] - lf[n]) - lf[N - n]
-    w[(ks < n + M - N) | (ks > np.minimum(n, M))] = -np.inf
-    np.exp(w, out=w)
-    ratio = ks / (n * M / N)
-    np.log(ratio, out=ratio)
-    w *= np.abs(ratio, out=ratio)
-    lhs = np.array([math.fsum(terms.tolist()) for terms in w])
-    nm = (n * M).ravel()
-    return lhs, 4.0 * N * math.log(N) / nm + 2.0 * np.sqrt(N / nm)
+    lf = _log_factorials(int(N.max()))
+    lo = np.maximum(1, n + M - N)
+    width = np.minimum(n, M) - lo + 1
+    lhs = np.empty(len(N))
+    order = np.argsort(width, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        w = int(width[group[0]])
+        step = max(1, _HYPERGEOM_CHUNK_CELLS // w)
+        for s in range(0, len(group), step):
+            rows = group[s : s + step]
+            r = rows[:, None]
+            lhs[rows] = _hypergeometric_log_sums(lf, N[r], M[r], n[r], lo[r], w)
+    nm = n * M
+    # 4 N log N by math.log, once per run of rows with equal N.
+    cuts = np.flatnonzero(np.diff(N)) + 1
+    scale = [4.0 * x * math.log(x) for x in N[np.r_[0, cuts]].tolist()]
+    rhs = np.repeat(scale, np.diff(np.r_[0, cuts, len(N)])) / nm + 2.0 * np.sqrt(N / nm)
+    return lhs, rhs
 
 
-def _hypergeometric_log_bound_rows(N: int) -> Iterator[tuple[int, int, float, float, bool]]:
-    """(M, n, lhs, rhs, holds) of hypergeometric_log_bound_report(N, M, n)
-    for M, n = 1..N, n fastest, one kernel call per chunk of rows.
+def _hypergeometric_log_sums(lf: np.ndarray, N: np.ndarray, M: np.ndarray, n: np.ndarray,
+                             lo: np.ndarray, w: int) -> np.ndarray:
+    """math.fsum over k = lo..lo+w-1 of P(X = k) |log(k / EX)| for column vectors of rows.
 
-    A chunk holds at most _HYPERGEOM_CHUNK_CELLS cells of k = 1..N.
+    k = lo + j is written into each lookup, and every other array is an
+    expression temporary, so only the terms and their list are alive at the fsum.
     """
-    step = max(1, _HYPERGEOM_CHUNK_CELLS // N)
-    for r0 in range(0, N * N, step):
-        r = np.arange(r0, min(r0 + step, N * N))
-        M, n = r[:, None] // N + 1, r[:, None] % N + 1
-        lhs, rhs = _hypergeometric_log_bound(N, M, n)
-        yield from zip(M.ravel().tolist(), n.ravel().tolist(), lhs.tolist(), rhs.tolist(),
-                       _holds(lhs, rhs).tolist())
+    j = np.arange(w)
+    t = lf[M] - lf[lo + j]
+    t -= lf[(M - lo) - j]
+    t += (lf[N - M] - lf[(n - lo) - j]) - lf[(N - M - n + lo) + j]
+    t -= (lf[N] - lf[n]) - lf[N - n]
+    np.exp(t, out=t)
+    t *= np.abs(np.log((lo + j) / (n * M / N)))
+    cells = iter(t.ravel().tolist())
+    return np.fromiter(map(math.fsum, zip(*[cells] * w)), float, len(N))
 
 
 @lru_cache(maxsize=16)

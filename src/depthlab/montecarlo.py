@@ -17,8 +17,9 @@ arrival keys, which replaced a shuffle per row, changed every bst and find
 sample again.  A stream, identified by (seed, stream_id), always replays the
 same draws, so collect_samples is a pure function of (route, n, l, count,
 seed, streams); a parallel run gives each worker one stream and reduces in
-stream order.  find's streams are keyed apart from the other routes' (see
-_route_generator), so it never sorts the keys bst reads on the same seed.
+stream order.  find's generator is keyed apart from the other routes' (see
+RngStream.route_generator), so it never sorts the keys bst reads on the same
+stream, in collect_samples or in a single-sample call.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ class RngStream:
     seed: int
     stream_id: int = 0
     _gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    _find_gen: np.random.Generator | None = field(default=None, repr=False, compare=False)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -61,20 +63,23 @@ class RngStream:
             self._gen = _generator(self.seed, (self.stream_id,))
         return self._gen
 
+    def route_generator(self, route: str) -> np.random.Generator:
+        """The stream's generator for the named route, built at its first use.
+
+        find sorts the very arrival keys that bst reads, so on one stream the
+        two routes would give equal samples: find's generator takes one more
+        spawn-key word, (stream_id, 1), and the other routes share ``generator``.
+        """
+        if route != "find":
+            return self.generator
+        if self._find_gen is None:
+            self._find_gen = _generator(self.seed, (self.stream_id, 1))
+        return self._find_gen
+
 
 def _generator(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def _route_generator(route: str, seed: int, stream_id: int) -> np.random.Generator:
-    """The generator of one stream of collect_samples on the named route.
-
-    find sorts the very arrival keys that bst reads, so on one (seed, stream)
-    the two routes would give equal samples: find's streams take one more
-    spawn-key word, and the other routes keep RngStream's (stream_id,).
-    """
-    return _generator(seed, (stream_id, 1) if route == "find" else (stream_id,))
 
 
 def random_permutation(n: int, rng: RngStream) -> Permutation:
@@ -252,7 +257,7 @@ def sample_depth_representation(n: int, l: int, rng: RngStream) -> int:
 
 def sample_find_recursions(n: int, l: int, rng: RngStream) -> int:
     """Route C: recursion count of quickselect at rank l on a random permutation."""
-    return _draw("find", n, l, 1, rng.generator)[0]
+    return _draw("find", n, l, 1, rng.route_generator("find"))[0]
 
 
 def sample_random_key_depth(n: int, rng: RngStream) -> int:
@@ -310,5 +315,5 @@ def collect_samples(
     base, extra = divmod(count, streams)
     for sid in range(streams):
         quota = base + (1 if sid < extra else 0)
-        out.extend(_draw(route, n, l, quota, _route_generator(route, seed, sid)))
+        out.extend(_draw(route, n, l, quota, RngStream(seed, sid).route_generator(route)))
     return out

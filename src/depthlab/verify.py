@@ -1,10 +1,13 @@
 """Verification suites: the paper's inequalities and exact-vs-oracle identities
-swept over grids.  ``SUITES`` maps each name to a generator of (params, lhs,
-rhs, holds) checks; ``run_suite`` returns them as the rows ``verify`` prints.
+swept over grids.  ``SUITES`` maps each name to a function that returns the
+suite's checks as columns (see ``Table``); the suites that compute one row at
+a time yield rows, which ``_per_row`` turns into columns.  ``suite_table``
+runs one suite, and ``run_suite`` returns its rows as the dicts ``verify`` prints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -14,6 +17,7 @@ import numpy as np
 from .distributions import (
     Pmf,
     _fsum_rows,
+    _holds,
     _total_variation_rows,
     _wasserstein_rows,
     record_count_pmf,
@@ -22,11 +26,12 @@ from .distributions import (
 from .exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
+    MIXING_VARIANCE_BOUND,
     CapExceededError,
     _ROW_DEPTH_BINS,
     _depth_law_rows,
     _depth_moments,
-    _hypergeometric_log_bound_rows,
+    _hypergeometric_log_bound,
     _mixing_variance_rows,
     brute_force_depth_pmf,
     exact_depth_pmf,
@@ -42,7 +47,7 @@ from .mixing import (
 from .montecarlo import _find_recursions
 from .trees import _permutation_array
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["SUITES", "Table", "run_suite", "suite_table"]
 
 THEOREM3_GRID = (2, 3, 5, 10, 30, 100, 300, 1000, 3000)
 THEOREM6_GRID = (64, 256, 1024, 4096, 16384)
@@ -62,7 +67,34 @@ METRICS_CHUNK = 256
 PMF_MAX_WIDTH = 24
 PMF_MAX_OFFSET = 5
 
-Checks = Iterator[tuple[dict, float, float | None, bool]]
+# A suite's checks, one column per param, then lhs, rhs and holds.
+Columns = tuple[dict[str, Sequence], Sequence[float], Sequence[float | None], np.ndarray]
+Rows = Iterator[tuple[dict, float, float | None, bool]]
+
+
+@dataclass(frozen=True)
+class Table:
+    """One suite's checks in row order, as columns: one per param, then lhs,
+    rhs (None on an informational row) and holds, a bool array."""
+
+    suite: str
+    params: dict[str, Sequence]
+    lhs: Sequence[float]
+    rhs: Sequence[float | None]
+    holds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.holds)
+
+    def rows(self, failed_only: bool = False) -> list[dict]:
+        """The rows {suite, params, lhs, rhs, holds} as verify prints them, in Python scalars."""
+        pick = np.flatnonzero(~self.holds) if failed_only else slice(None)
+        names = list(self.params)
+        columns = [np.asarray(column)[pick].tolist()
+                   for column in (*self.params.values(), self.lhs, self.rhs, self.holds)]
+        return [{"suite": self.suite, "params": dict(zip(names, values)),
+                 "lhs": lhs, "rhs": rhs, "holds": holds}
+                for *values, lhs, rhs, holds in zip(*columns)]
 
 
 @dataclass(frozen=True)
@@ -90,7 +122,22 @@ class _Sweep:
         return [n for n in grid if n <= (self.n_max or grid[-1])]
 
 
-def _oracle(sw: _Sweep) -> Checks:
+def _per_row(suite: Callable[[_Sweep], Rows]) -> Callable[[_Sweep], Columns]:
+    """The suite's (params, lhs, rhs, holds) rows, yielded one at a time, as columns."""
+
+    @functools.wraps(suite)
+    def columns(sw: _Sweep) -> Columns:
+        rows = list(suite(sw))
+        params = {name: [p[name] for p, _, _, _ in rows] for name in (rows[0][0] if rows else ())}
+        lhs = [float(lhs) for _, lhs, _, _ in rows]
+        rhs = [None if rhs is None else float(rhs) for _, _, rhs, _ in rows]
+        return params, lhs, rhs, np.array([holds for _, _, _, holds in rows], dtype=bool)
+
+    return columns
+
+
+@_per_row
+def _oracle(sw: _Sweep) -> Rows:
     for n in sw.sizes(8, cap=BRUTE_FORCE_CAP):
         for l in range(1, n + 1):
             d = float(total_variation(exact_depth_pmf(n, l), brute_force_depth_pmf(n, l)))
@@ -105,8 +152,9 @@ def _recurrence_rows(sizes: Sequence[int], cap: int) -> Iterator[np.ndarray]:
     return _depth_law_rows(top, set(sizes))
 
 
-def _moments(sw: _Sweep) -> Checks:
+def _moments(sw: _Sweep) -> Columns:
     depths = np.arange(_ROW_DEPTH_BINS, dtype=np.float64)
+    sizes, keys_of, errors = [], [], []
     for row in _recurrence_rows(sw.sizes(500), sw.cap):
         n = len(row)
         # 20 evenly spread keys (every key when n <= 20).
@@ -117,16 +165,23 @@ def _moments(sw: _Sweep) -> Checks:
         kmean, kvar = _depth_moments(n, keys)
         mean_err = np.abs(mean - kmean)
         var_err = np.abs(var - kvar) / np.maximum(1.0, kvar)
-        for l, me, ve in zip(keys.tolist(), mean_err.tolist(), var_err.tolist()):
-            yield {"n": n, "l": l, "check": "mean"}, me, 1e-9, me <= 1e-9
-            yield {"n": n, "l": l, "check": "variance"}, ve, 1e-8, ve <= 1e-8
+        sizes.append(np.full(keys.size, n))
+        keys_of.append(keys)
+        errors.append(np.column_stack((mean_err, var_err)))
+    # Two rows per key, the mean's and then the variance's.
+    keys = np.concatenate(keys_of)
+    params = {"n": np.repeat(np.concatenate(sizes), 2), "l": np.repeat(keys, 2),
+              "check": np.tile(["mean", "variance"], keys.size)}
+    lhs, rhs = np.concatenate(errors).ravel(), np.tile([1e-9, 1e-8], keys.size)
+    return params, lhs, rhs, lhs <= rhs
 
 
 def _spot_keys(n: int) -> list[int]:
     return sorted(l for l in {1, 2, math.ceil(n / 4), math.ceil(n / 2), n - 1, n} if 1 <= l <= n)
 
 
-def _rootsplit(sw: _Sweep) -> Checks:
+@_per_row
+def _rootsplit(sw: _Sweep) -> Rows:
     sizes = sorted({*sw.sizes(ROOTSPLIT_EVERY_KEY_MAX), *sw.grid_sizes(ROOTSPLIT_GRID)})
     for row in _recurrence_rows(sizes, sw.cap):
         n = len(row)
@@ -137,14 +192,16 @@ def _rootsplit(sw: _Sweep) -> Checks:
             yield {"n": n, "l": l}, d, 1e-12, d <= 1e-12
 
 
-def _theorem3(sw: _Sweep) -> Checks:
+@_per_row
+def _theorem3(sw: _Sweep) -> Rows:
     for n in sw.grid_sizes(THEOREM3_GRID):
         for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n}):
             rep = poisson_bound_report(n, l, n_cap=sw.cap)
             yield {"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds
 
 
-def _theorem6(sw: _Sweep) -> Checks:
+@_per_row
+def _theorem6(sw: _Sweep) -> Rows:
     threshold = None
     for n in sw.grid_sizes(THEOREM6_GRID):
         _, scaled = mixpo_distance(n, 0.5, n_cap=sw.cap)
@@ -154,10 +211,11 @@ def _theorem6(sw: _Sweep) -> Checks:
             threshold = THEOREM6_GROWTH * scaled
 
 
-def _lemma2(sw: _Sweep) -> Checks:
-    for n in sw.sizes(300):
-        for l, (lhs, rhs, holds) in enumerate(_mixing_variance_rows(n), start=1):
-            yield {"n": n, "l": l}, lhs, rhs, holds
+def _lemma2(sw: _Sweep) -> Columns:
+    sizes = sw.sizes(300)
+    lhs = np.concatenate([_mixing_variance_rows(n) for n in sizes])
+    params = {"n": np.repeat(sizes, sizes), "l": np.concatenate([np.arange(1, n + 1) for n in sizes])}
+    return params, lhs, np.full(lhs.size, MIXING_VARIANCE_BOUND), _holds(lhs, MIXING_VARIANCE_BOUND)
 
 
 def _trial_chunks(trials: int, size: int) -> Iterator[range]:
@@ -176,27 +234,30 @@ def _measure_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     return locations, weights
 
 
-def _lemma4b(sw: _Sweep) -> Checks:
+def _lemma4b(sw: _Sweep) -> Columns:
     """W1 of the mixed Poisson laws of two random measures against W1 of the
     measures, one chunked numpy pass: each chunk draws its trials' measures
     in trial order, mu before nu, and puts all of them on one mixture kernel.
     """
+    lhs, rhs = [], []
     for trials in _trial_chunks(sw.trials, LEMMA4B_CHUNK):
         loc, w = _measure_rows([_measure_draw(sw.rng) for _ in range(2 * len(trials))])
         masses, _ = _mixed_poisson_rows(loc, w)
         # Every law has mass at 0 (rates < 20), so W1 sums from k = 1.
-        lhs = _wasserstein_rows(masses[0::2], masses[1::2], 1)
-        rhs = _measure_wasserstein_rows(loc[0::2], w[0::2], loc[1::2], w[1::2])
-        for trial, l, r in zip(trials, lhs, rhs):
-            r += 1e-8
-            yield {"trial": trial}, l, r, l <= r
+        lhs += _wasserstein_rows(masses[0::2], masses[1::2], 1)
+        rhs += _measure_wasserstein_rows(loc[0::2], w[0::2], loc[1::2], w[1::2])
+    lhs, rhs = np.array(lhs), np.array(rhs) + 1e-8
+    return {"trial": np.arange(sw.trials)}, lhs, rhs, lhs <= rhs
 
 
-def _lemma5(sw: _Sweep) -> Checks:
-    for N in sw.sizes(80):
-        # M, n = 1..N: cases with n * M = 0 are skipped.
-        for M, n_draw, lhs, rhs, holds in _hypergeometric_log_bound_rows(N):
-            yield {"N": N, "M": M, "n": n_draw}, lhs, rhs, holds
+def _lemma5(sw: _Sweep) -> Columns:
+    # Rows (N, M, n) with M, n = 1..N, n fastest: cases with n * M = 0 are skipped.
+    sizes = sw.sizes(80)
+    N = np.repeat(sizes, np.square(sizes))
+    r = np.concatenate([np.arange(size * size) for size in sizes])
+    M, n = r // N + 1, r % N + 1
+    lhs, rhs = _hypergeometric_log_bound(N, M, n)
+    return {"N": N, "M": M, "n": n}, lhs, rhs, _holds(lhs, rhs)
 
 
 def _pmf_draw(rng: np.random.Generator) -> tuple[int, np.ndarray]:
@@ -207,13 +268,14 @@ def _pmf_draw(rng: np.random.Generator) -> tuple[int, np.ndarray]:
     return offset, masses / masses.sum()
 
 
-def _metrics(sw: _Sweep) -> Checks:
+def _metrics(sw: _Sweep) -> Columns:
     """d_TV <= 2 d_W and |mean gap| <= d_W on pairs of random pmfs, one chunked
     numpy pass: each chunk draws its pmfs in trial order and puts them on one
     zero-padded grid over 0..PMF_MAX_OFFSET + PMF_MAX_WIDTH - 1.  The drawn
     masses are positive and normalized, so every row is a valid Pmf.
     """
     ks = np.arange(PMF_MAX_OFFSET + PMF_MAX_WIDTH, dtype=np.float64)
+    tvs, gaps, dws = [], [], []
     for trials in _trial_chunks(sw.trials, METRICS_CHUNK):
         draws = [_pmf_draw(sw.rng) for _ in range(2 * len(trials))]
         offsets = np.array([offset for offset, _ in draws])
@@ -222,17 +284,22 @@ def _metrics(sw: _Sweep) -> Checks:
         grid[(ks >= offsets[:, None]) & (ks < ends[:, None])] = np.concatenate(
             [masses for _, masses in draws])
         p, q = grid[0::2], grid[1::2]
-        tvs = _total_variation_rows(p, q)
+        tvs += _total_variation_rows(p, q)
         # W1 sums from the pair's lower offset, and never over k = 0, as wasserstein does.
-        dws = _wasserstein_rows(p, q, np.maximum(1, np.minimum(offsets[0::2], offsets[1::2])))
-        means = _fsum_rows(ks * grid)
-        for trial, tv, dw, mean_p, mean_q in zip(trials, tvs, dws, means[0::2], means[1::2]):
-            yield {"trial": trial, "check": "tv_le_2dw"}, tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10
-            gap = abs(mean_p - mean_q)
-            yield {"trial": trial, "check": "dw_ge_mean_gap"}, gap, dw + 1e-10, gap <= dw + 1e-10
+        dws += _wasserstein_rows(p, q, np.maximum(1, np.minimum(offsets[0::2], offsets[1::2])))
+        means = np.array(_fsum_rows(ks * grid))
+        gaps.append(np.abs(means[0::2] - means[1::2]))
+    dws = np.array(dws)
+    # Two rows per trial: d_TV <= 2 d_W, then |mean gap| <= d_W.
+    lhs = np.column_stack((tvs, np.concatenate(gaps))).ravel()
+    rhs = np.column_stack((2.0 * dws + 1e-10, dws + 1e-10)).ravel()
+    params = {"trial": np.repeat(np.arange(sw.trials), 2),
+              "check": np.tile(["tv_le_2dw", "dw_ge_mean_gap"], sw.trials)}
+    return params, lhs, rhs, lhs <= rhs
 
 
-def _find(sw: _Sweep) -> Checks:
+@_per_row
+def _find(sw: _Sweep) -> Rows:
     for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
         perms = _permutation_array(n)
         for l in range(1, n + 1):
@@ -243,7 +310,8 @@ def _find(sw: _Sweep) -> Checks:
             yield {"n": n, "l": l}, d, 0.0, d == 0.0
 
 
-def _moves(sw: _Sweep) -> Checks:
+@_per_row
+def _moves(sw: _Sweep) -> Rows:
     for n in sw.sizes(30):
         for l in sorted({1, max(1, n // 2), n}):
             mj = move_joint_pmf(n, l, n_cap=sw.cap)
@@ -253,17 +321,17 @@ def _moves(sw: _Sweep) -> Checks:
             yield {"n": n, "l": l, "check": "left"}, d_l, 1e-12, d_l <= 1e-12
 
 
-SUITES: dict[str, Callable[[_Sweep], Checks]] = {
+SUITES: dict[str, Callable[[_Sweep], Columns]] = {
     f.__name__.lstrip("_"): f
     for f in (_oracle, _moments, _theorem3, _theorem6, _lemma2,
               _lemma4b, _lemma5, _metrics, _find, _moves, _rootsplit)
 }
 
 
-def run_suite(name: str, *, n: int | None = None, n_max: int | None = None,
-              trials: int | None = None, seed: int | None = None,
-              cap: int = DEFAULT_N_CAP) -> list[dict]:
-    """Rows {suite, params, lhs, rhs, holds} of one suite; rhs is None on informational rows.
+def suite_table(name: str, *, n: int | None = None, n_max: int | None = None,
+                trials: int | None = None, seed: int | None = None,
+                cap: int = DEFAULT_N_CAP) -> Table:
+    """The checks of one suite as a Table.
 
     ``n`` runs one size and ``n_max`` bounds the sizes; ``trials`` and ``seed`` drive lemma4b
     and metrics.  Unset values take the suite's defaults; an unknown name raises KeyError.
@@ -273,9 +341,10 @@ def run_suite(name: str, *, n: int | None = None, n_max: int | None = None,
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(seed or 0)
-    checks = suite(_Sweep(n, n_max, trials or DEFAULT_TRIALS, rng, cap))
-    return [
-        {"suite": name, "params": params, "lhs": float(lhs),
-         "rhs": None if rhs is None else float(rhs), "holds": bool(holds)}
-        for params, lhs, rhs, holds in checks
-    ]
+    return Table(name, *suite(_Sweep(n, n_max, trials or DEFAULT_TRIALS, rng, cap)))
+
+
+def run_suite(name: str, **flags) -> list[dict]:
+    """Rows {suite, params, lhs, rhs, holds} of one suite, as ``verify --all-rows`` prints
+    them; rhs is None on informational rows.  ``flags`` are suite_table's."""
+    return suite_table(name, **flags).rows()

@@ -192,6 +192,55 @@ def test_verify_every_suite_tiny(suite, schema):
     assert {row["suite"] for row in doc["rows"]} == {suite}
 
 
+def _render_rows(suite, rows, fmt, checks, failures):
+    """verify's stdout for the printed row dicts, written out independently of cli."""
+    if fmt == "json":
+        meta = {"operation": "verify", "version": depthlab.__version__, "suites": [suite]}
+        doc = {"meta": meta, "checks": checks, "failures": failures, "rows": rows}
+        return json.dumps(doc, indent=2) + "\n"
+    lines = ["suite,params,lhs,rhs,holds"]
+    for r in rows:
+        params = ";".join(f"{k}={v}" for k, v in r["params"].items())
+        rhs = "" if r["rhs"] is None else f"{r['rhs']:.17g}"
+        lines.append(f"{r['suite']},{params},{r['lhs']:.17g},{rhs},{r['holds']}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_all_rows_prints_the_run_suite_rows(suite, fmt):
+    # verify counts and prints from the suite's columns; run_suite builds every row dict.
+    args = TINY_SUITE_ARGS[suite]
+    flags = {flag[2:].replace("-", "_"): int(value) for flag, value in zip(args[::2], args[1::2])}
+    code, out = run_cli(["verify", "--suite", suite, *args, "--all-rows", "--format", fmt])
+    assert code == 0
+    rows = verify.run_suite(suite, **flags)
+    assert out == _render_rows(suite, rows, fmt, len(rows), 0)
+
+
+def test_verify_prints_failed_and_informational_rows(monkeypatch, capsys):
+    @verify._per_row
+    def _fake(sw):
+        yield {"n": 1, "check": "info"}, 0.5, None, True
+        yield {"n": 2, "check": "bound"}, 2.0, 1.0, False
+
+    monkeypatch.setitem(verify.SUITES, "fake", _fake)
+    info = {"suite": "fake", "params": {"n": 1, "check": "info"}, "lhs": 0.5, "rhs": None,
+            "holds": True}
+    failed = {"suite": "fake", "params": {"n": 2, "check": "bound"}, "lhs": 2.0, "rhs": 1.0,
+              "holds": False}
+    assert verify.run_suite("fake") == [info, failed]
+    for fmt in ("json", "csv"):
+        for all_rows, rows in ((False, [failed]), (True, [info, failed])):
+            argv = ["verify", "--suite", "fake", "--format", fmt] + ["--all-rows"] * all_rows
+            code, out = run_cli(argv)
+            assert code == cli.EXIT_BOUND_VIOLATION
+            # The counts cover every row, printed or not.
+            assert out == _render_rows("fake", rows, fmt, 2, 1), (fmt, all_rows)
+            err = capsys.readouterr().err
+            assert err == "FAILED fake {'n': 2, 'check': 'bound'}: lhs=2.0 rhs=1.0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

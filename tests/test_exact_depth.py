@@ -5,7 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,10 @@ from depthlab.exact_depth import (
     CapExceededError,
     _HYPERGEOM_CHUNK_CELLS,
     _JD_BLOCK_ROWS,
+    _MIXING_CHUNK_CELLS,
     _brute_depth_counts,
     _depth_law_rows,
-    _hypergeometric_log_bound_rows,
+    _hypergeometric_log_bound,
     _jd_blocks,
     _ln_table,
     _log_factorials,
@@ -498,9 +499,9 @@ def test_lemma2_rows_equal_the_scalar_reference():
     # H_491^2 and H_1229^2 are the first entries where numpy's array square
     # differs in the last bit from the scalar square.
     for n in (600, 1300):
-        for l, row in enumerate(_mixing_variance_rows(n), start=1):
+        for l, lhs in enumerate(_mixing_variance_rows(n).tolist(), start=1):
             ref = scalar_mixing_variance(n, l)
-            assert row == (ref.lhs, ref.rhs, ref.holds), (n, l)
+            assert lhs == ref.lhs, (n, l)
             assert mixing_variance_report(n, l) == ref, (n, l)
 
 
@@ -515,6 +516,22 @@ def test_mixing_variance_report_memory_is_linear_in_n():
         tracemalloc.stop()
     # One pass over the shorter side; the location grid would be 33.6 MB.
     assert peak < 4 * n * 8
+
+
+def test_lemma2_rows_memory_is_one_chunk():
+    # Every key of n = 4000: 2000 kernel rows of up to 1999 cells, in chunks
+    # of _MIXING_CHUNK_CELLS cells.  One rectangle took 92 MiB here.
+    n = 4000
+    _mixing_variance_rows(n)  # fill the table caches outside the trace
+    tracemalloc.start()
+    try:
+        lhs = _mixing_variance_rows(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * _MIXING_CHUNK_CELLS * 8
+    for l in (1, 1000, 2000, 4000):
+        assert lhs[l - 1] == scalar_mixing_variance(n, l).lhs, l
 
 
 # ------------------------------------------------------------ hypergeometric bound
@@ -590,21 +607,22 @@ def test_lemma5_rows_match_exact_rational_pmf():
 
 
 def test_lemma5_rows_memory_is_one_chunk():
-    N = 2000
-    rows = _HYPERGEOM_CHUNK_CELLS // N  # the first chunk
+    # The rows (2000, M, 500), M = 1..2000.  For 500 <= M <= 1501 the support
+    # is k = 1..500: one group of 1002 rows and 501000 cells, about two chunks.
+    N, n = 2000, 500
+    M = np.arange(1, N + 1)
     _log_factorials(N)  # fill the table cache outside the trace
     tracemalloc.start()
     try:
-        got = list(islice(_hypergeometric_log_bound_rows(N), rows))
+        lhs, rhs = _hypergeometric_log_bound(np.full(N, N), M, np.full(N, n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [(M, n) for M, n, *_ in got[:2]] == [(1, 1), (1, 2)] and len(got) == rows
-    # A few chunk-sized float64 arrays; one M's slab of N * N cells would be 32 MB.
+    # A few chunk-sized arrays; the group as one rectangle is 4 MB per array.
     assert peak < 6 * _HYPERGEOM_CHUNK_CELLS * 8
-    M, n, lhs, rhs, holds = got[-1]
-    ref = scalar_hypergeometric_log_bound(N, M, n)
-    assert (lhs, rhs, holds) == (ref.lhs, ref.rhs, ref.holds)
+    for row in (999, N - 1):  # M = 1000 in the large group, and the last row
+        ref = scalar_hypergeometric_log_bound(N, int(M[row]), n)
+        assert (lhs[row], rhs[row]) == (ref.lhs, ref.rhs), row
 
 
 def test_hypergeometric_report_memory_is_its_support():

@@ -20,7 +20,6 @@ from depthlab.montecarlo import (
     _permutation_rows,
     _predecessor_split,
     _record_counts,
-    _route_generator,
     collect_samples,
     empirical_pmf,
     random_permutation,
@@ -306,12 +305,25 @@ def test_collect_samples_gives_each_stream_its_own_id():
     n, l, K, seed = 60, 25, 400, 17
     for route in ("bst", "find", "representation", "key"):
         key = None if route == "key" else l
-        halves = [_draw(route, n, key, K, _route_generator(route, seed, sid)) for sid in (0, 1)]
+        halves = [_draw(route, n, key, K, RngStream(seed, sid).route_generator(route))
+                  for sid in (0, 1)]
         assert collect_samples(route, n, key, 2 * K, seed, streams=2) == halves[0] + halves[1]
         assert halves[0] != halves[1], route
         if route != "find":  # only find's streams are keyed apart from RngStream's
             assert halves == [_draw(route, n, key, K, RngStream(seed, sid).generator)
                               for sid in (0, 1)], route
+
+
+def test_single_sample_bst_and_find_draw_apart():
+    # find sorts the arrival keys that bst reads: on one generator the two
+    # routes would return the same depths call for call.
+    def draws(sample):
+        rng = RngStream(4)
+        return [sample(200, 77, rng) for _ in range(50)]
+
+    bst, find = draws(sample_depth_bst), draws(sample_find_recursions)
+    assert bst != find
+    assert draws(sample_depth_bst) == bst and draws(sample_find_recursions) == find
 
 
 def test_route_agreement_full_fidelity():
