@@ -21,12 +21,14 @@ from typing import Any
 from . import __version__
 from .distributions import Pmf, mean_var, total_variation
 from .exact_depth import (
+    ARRIVAL_ROUTE,
     DEFAULT_N_CAP,
     CapExceededError,
     depth_mean,
     depth_variance,
     exact_depth_pmf,
     rank_to_key,
+    _depth_pmf_by_arrival,
     _mixpo_distance_of,
     _mixpo_measure,
     _poisson_bound_of,
@@ -114,9 +116,12 @@ def cmd_approx(args, out) -> int:
         "variance": depth_variance(args.n, l),
     }
     if args.n >= 2:
-        # One exact law serves both reports; with --t, l is the mixpo key.
-        exact = exact_depth_pmf(args.n, l, n_cap=args.cap)
-        rep = _poisson_bound_of(exact, args.n, l)
+        # One law serves both reports; with --t, l is the mixpo key.  It is
+        # the arrival-time quadrature, whose error is estimated, not bounded.
+        law, estimate = _depth_pmf_by_arrival(args.n, l, n_cap=args.cap)
+        doc["law_route"] = ARRIVAL_ROUTE
+        doc["law_error_estimate"] = estimate
+        rep = _poisson_bound_of(law, args.n, l)
         doc["poisson"] = {
             "d_tv": rep.lhs,
             "bound": rep.rhs,
@@ -124,7 +129,7 @@ def cmd_approx(args, out) -> int:
             "margin": rep.margin,
         }
     if measure is not None:
-        d, scaled = _mixpo_distance_of(exact, args.n, measure)
+        d, scaled = _mixpo_distance_of(law, args.n, measure)
         doc["mixpo"] = {
             "t": args.t,
             "shift": measure.c,
@@ -138,6 +143,9 @@ def cmd_approx(args, out) -> int:
         out.write("quantity,value\n")
         out.write(f"mean,{_fmt(doc['mean'])}\n")
         out.write(f"variance,{_fmt(doc['variance'])}\n")
+        if "law_route" in doc:
+            out.write(f"law_route,{doc['law_route']}\n")
+            out.write(f"law_error_estimate,{_fmt(doc['law_error_estimate'])}\n")
         if "poisson" in doc:
             out.write(f"poisson_d_tv,{_fmt(doc['poisson']['d_tv'])}\n")
             out.write(f"poisson_bound,{_fmt(doc['poisson']['bound'])}\n")

@@ -30,6 +30,7 @@ from .exact_depth import (
     CapExceededError,
     _ROW_DEPTH_BINS,
     _depth_law_rows,
+    _depth_pmf_by_arrival,
     _depth_moments,
     _hypergeometric_log_bound,
     _mixing_variance_rows,
@@ -55,10 +56,20 @@ THEOREM6_GRID = (64, 256, 1024, 4096, 16384)
 THEOREM6_GROWTH = 1.10
 DEFAULT_TRIALS = 1000
 FIND_ENUMERATION_CAP = 7  # find runs the quickselect kernel for each key over all n! permutations
+# lemma5 evaluates Theta(N^3) cells at one N, and Theta(N^4) over every N up to
+# it.  At this cap, on 2 vCPU, --n takes 0.04 s and --n-max (every N up to the
+# cap) 1.4 s at a 160 MiB peak.
+LEMMA5_CAP = 160
 # rootsplit checks every key up to this n and _spot_keys above it.  At n = 1000
 # a spot key reaches band-cut blocks of the predecessor grid; at n <= 500 none does.
 ROOTSPLIT_EVERY_KEY_MAX = 60
 ROOTSPLIT_GRID = (1000,)
+# arrival holds exact_depth_pmf to the arrival-time quadrature at the spot keys
+# of each n of its grid, and from ARRIVAL_FEW_KEYS_N on at keys 2 and n/2 only,
+# as one central grid law takes about 70 ms there.
+ARRIVAL_GRID = (1000, 4096, 16384, 32768)
+ARRIVAL_FEW_KEYS_N = 32768
+ARRIVAL_TV = 1e-13
 # lemma4b and metrics run in chunks of trials: 32 lemma4b trials are 64 laws,
 # which keep its (k, atom, law) kernel near 0.5 MiB.
 LEMMA4B_CHUNK = 32
@@ -191,6 +202,15 @@ def _rootsplit(sw: _Sweep) -> Rows:
 
 
 @_per_row
+def _arrival(sw: _Sweep) -> Rows:
+    for n in sw.grid_sizes(ARRIVAL_GRID):
+        for l in _spot_keys(n) if n < ARRIVAL_FEW_KEYS_N else (2, n // 2):
+            law, _ = _depth_pmf_by_arrival(n, l, n_cap=sw.cap)
+            d = float(total_variation(exact_depth_pmf(n, l, n_cap=sw.cap), law))
+            yield {"n": n, "l": l}, d, ARRIVAL_TV, d <= ARRIVAL_TV
+
+
+@_per_row
 def _theorem3(sw: _Sweep) -> Rows:
     for n in sw.grid_sizes(THEOREM3_GRID):
         for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n}):
@@ -210,7 +230,7 @@ def _theorem6(sw: _Sweep) -> Rows:
 
 
 def _lemma2(sw: _Sweep) -> Columns:
-    sizes = sw.sizes(300)
+    sizes = sw.sizes(300, cap=sw.cap)
     lhs = np.concatenate([_mixing_variance_rows(n) for n in sizes])
     params = {"n": np.repeat(sizes, sizes), "l": np.concatenate([np.arange(1, n + 1) for n in sizes])}
     return params, lhs, np.full(lhs.size, MIXING_VARIANCE_BOUND), _holds(lhs, MIXING_VARIANCE_BOUND)
@@ -250,7 +270,7 @@ def _lemma4b(sw: _Sweep) -> Columns:
 
 def _lemma5(sw: _Sweep) -> Columns:
     # Rows (N, M, n) with M, n = 1..N, n fastest: cases with n * M = 0 are skipped.
-    sizes = sw.sizes(80)
+    sizes = sw.sizes(80, cap=LEMMA5_CAP)
     N = np.repeat(sizes, np.square(sizes))
     r = np.concatenate([np.arange(size * size) for size in sizes])
     M, n = r // N + 1, r % N + 1
@@ -322,7 +342,7 @@ def _moves(sw: _Sweep) -> Rows:
 SUITES: dict[str, Callable[[_Sweep], Columns]] = {
     f.__name__.lstrip("_"): f
     for f in (_oracle, _moments, _theorem3, _theorem6, _lemma2,
-              _lemma4b, _lemma5, _metrics, _find, _moves, _rootsplit)
+              _lemma4b, _lemma5, _metrics, _find, _moves, _rootsplit, _arrival)
 }
 
 

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import depthlab
-from depthlab import cli, verify
+from depthlab import cli, exact_depth, verify
 from depthlab.cli import run
 
 
@@ -61,10 +61,24 @@ def test_exact_domain_error_exit_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, n", [("lemma5", 5000), ("lemma2", 40000)])
+def test_verify_sweep_over_its_cap_exits_3_at_once(suite, n, capsys):
+    t0 = time.perf_counter()
+    code, _ = run_cli(["verify", "--suite", suite, "--n", str(n)])
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
 def test_exact_over_cap_exit_3():
     code, _ = run_cli(["exact", "--n", "40000", "--l", "1"])
     assert code == 3
     code, _ = run_cli(["exact", "--n", "600", "--l", "1", "--cap", "500"])
+    assert code == 3
+    # approx's arrival-time quadrature honours the same cap.
+    code, _ = run_cli(["approx", "--n", "40000", "--l", "1"])
+    assert code == 3
+    code, _ = run_cli(["approx", "--n", "600", "--t", "0.5", "--cap", "500"])
     assert code == 3
 
 
@@ -91,13 +105,41 @@ def test_approx_with_t(schema):
     doc = validate(out, schema)
     assert doc["mixpo"]["d_w"] > 0
     assert doc["mixpo"]["d_w_scaled_by_sqrt_log_n"] > 0
+    assert doc["law_route"] == "arrival-quadrature"
+    assert 0.0 <= doc["law_error_estimate"] <= 1e-13
+
+
+def test_approx_csv_names_the_law_route():
+    code, out = run_cli(["approx", "--n", "64", "--t", "0.5", "--format", "csv"])
+    assert code == 0
+    rows = dict(line.split(",") for line in out.splitlines()[1:])
+    assert rows["law_route"] == "arrival-quadrature"
+    assert 0.0 <= float(rows["law_error_estimate"]) <= 1e-13
+    assert list(rows) == ["mean", "variance", "law_route", "law_error_estimate",
+                          "poisson_d_tv", "poisson_bound", "mixpo_d_w"]
+
+
+def test_approx_and_mixpo_distance_never_build_the_banded_grid(monkeypatch):
+    # Both reports read the arrival-time quadrature; exact stays on the grid.
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the banded grid was built")
+
+    monkeypatch.setattr(exact_depth, "_move_grid", unexpected)
+    for argv in (["approx", "--n", "2048", "--t", "0.5"], ["approx", "--n", "50", "--l", "10"]):
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        assert json.loads(out)["law_route"] == "arrival-quadrature"
+    d, scaled = exact_depth.mixpo_distance(2048, 0.5)
+    assert 0.0 < float(d) < scaled
+    with pytest.raises(AssertionError, match="banded grid"):
+        run_cli(["exact", "--n", "50", "--l", "10"])
 
 
 def test_approx_checks_n_and_t_before_the_exact_law(monkeypatch, capsys):
     def unexpected(*args, **kwargs):
         raise AssertionError("exact law built before --n/--t were checked")
 
-    monkeypatch.setattr(cli, "exact_depth_pmf", unexpected)
+    monkeypatch.setattr(cli, "_depth_pmf_by_arrival", unexpected)
     code, _ = run_cli(["approx", "--n", "1", "--t", "0.5"])
     assert code == 2
     assert "n must be >= 2" in capsys.readouterr().err
@@ -179,6 +221,7 @@ TINY_SUITE_ARGS = {
     "find": ["--n-max", "4"],
     "moves": ["--n-max", "5"],
     "rootsplit": ["--n-max", "5"],
+    "arrival": ["--n", "64"],
 }
 
 

@@ -31,8 +31,12 @@ from depthlab.exact_depth import (
     _HYPERGEOM_CHUNK_CELLS,
     _JD_BLOCK_ROWS,
     _MIXING_CHUNK_CELLS,
+    _arrival_laws,
+    _arrival_nodes,
     _brute_depth_counts,
     _depth_law_rows,
+    _depth_pmf_by_arrival,
+    _gauss_legendre,
     _hypergeometric_log_bound,
     _jd_blocks,
     _ln_table,
@@ -285,6 +289,88 @@ def test_root_split_rows_book_the_deep_tail():
             assert not row[:, -1].any(), n  # depth is at most n - 1 < K
         spill = max(spill, float(row[:, -1].max()))
     assert 0.0 < spill < 1e-20  # the bin does fill, and only with dust, by n = 1000
+
+
+# ------------------------------------------------------------ arrival-time quadrature
+
+
+@pytest.mark.parametrize("q", [1, 2, 15, 30, 75, 150])
+def test_gauss_legendre_matches_leggauss(q):
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = _gauss_legendre(q)
+    ref_x, ref_w = leggauss(q)
+    assert np.abs(x - ref_x).max() <= 1e-15
+    # Both round their nodes, which moves the smallest end weights the most.
+    assert np.abs(w / ref_w - 1.0).max() <= 1e-10
+    assert abs(w.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 16, 17, 1000, 32768])
+def test_arrival_nodes_integrate_polynomials_and_ascend(n):
+    u, w = _arrival_nodes(n, 15)
+    assert np.all(np.diff(u) > 0) and 0.0 < u[0] and u[-1] < 1.0
+    assert u.size == 75 and np.all(w > 0)
+    for k in (0, 1, 2, 5):
+        assert abs(w @ u**k - 1.0 / (k + 1)) <= 1e-14, k
+
+
+def test_arrival_law_matches_the_grid_at_every_key_up_to_40():
+    for n in range(1, 41):
+        for l in range(1, n + 1):
+            law, estimate = _depth_pmf_by_arrival(n, l)
+            d = float(total_variation(law, exact_depth_pmf(n, l)))
+            assert d <= 1e-13, (n, l, d)
+            assert 0.0 <= estimate <= 1e-13, (n, l, estimate)
+            assert law.truncated_tail == 0.0  # no record spill or binomial cut this small
+
+
+def test_arrival_law_books_record_spills_and_binomial_cuts():
+    law, estimate = _depth_pmf_by_arrival(16384, 8192)
+    grid = exact_depth_pmf(16384, 8192)
+    assert float(total_variation(law, grid)) <= 1e-13
+    assert 0.0 < estimate <= 1e-13
+    # The same record spills as the grid books, which has its band tails on top.
+    rec_tails = exact_depth._record_matrix(8192)[1]
+    spills = rec_tails[:8192].sum() / 8192 + rec_tails.sum() / 8193
+    assert spills <= law.truncated_tail < grid.truncated_tail
+    assert abs(math.fsum(law.masses.tolist()) + law.truncated_tail - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("a", [1, 40, 2000])
+def test_arrival_laws_book_a_bound_on_each_binomial_cut(a):
+    # Against each node's whole binomial pmf, from scipy's gammaln: the rows
+    # agree, and the booked cut bounds the mass its run's rectangle left out.
+    u, _ = _arrival_nodes(4 * a + 1, 30)
+    rec = exact_depth._record_matrix(a)[0]
+    laws, cut = _arrival_laws(a, u, rec)
+    m = np.arange(a + 1)
+    lp = gammaln(a + 1) - gammaln(m + 1) - gammaln(a - m + 1)
+    p = np.exp(lp + np.multiply.outer(np.log(u), m) + np.multiply.outer(np.log1p(-u), a - m))
+    # The log-space closed form rounds: its masses sum to 1 within 2e-12 at a = 2000.
+    assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-11
+    assert np.abs(laws - (p / p.sum(axis=1)[:, None]) @ rec).max() <= 1e-14
+    assert np.all(cut >= 0.0) and cut.max() <= 1e-25
+    half = exact_depth._ARRIVAL_SDS * (np.sqrt(a * u * (1 - u)) + 1)
+    lo = np.maximum(np.floor(a * u - half), 0).astype(int)
+    hi = np.minimum(np.ceil(a * u + half), a).astype(int) + 1
+    runs = list(exact_depth._window_runs(lo.tolist(), hi.tolist()))
+    assert [r.start for r in runs[1:]] == [r.stop for r in runs[:-1]] and runs[-1].stop == u.size
+    for run in runs:
+        inside = (m >= lo[run].min()) & (m < hi[run].max())
+        outside = p[run][:, ~inside].sum(axis=1)
+        assert np.all(cut[run] >= outside), (run, cut[run], outside)
+    if a == 2000:
+        assert len(runs) > 1 and cut.max() > 0.0  # the test reaches cut rectangles
+
+
+def test_arrival_law_honours_the_cap_and_domain():
+    with pytest.raises(CapExceededError) as err:
+        _depth_pmf_by_arrival(100, 50, n_cap=50)
+    assert "cap 50" in str(err.value)
+    for l in (0, 6):
+        with pytest.raises(ValueError):
+            _depth_pmf_by_arrival(5, l)
 
 
 def test_exact_depth_cap():

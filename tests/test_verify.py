@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from depthlab.distributions import Pmf, mean_var, total_variation, wasserstein
-from depthlab.exact_depth import _brute_depth_counts, _jd_blocks
+from depthlab.exact_depth import CapExceededError, _brute_depth_counts, _jd_blocks
 from depthlab.mixing import (
     DiscreteMeasure,
     _measure_rows,
@@ -16,6 +16,7 @@ from depthlab.mixing import (
     mixed_poisson_pmf,
 )
 from depthlab.verify import (
+    ARRIVAL_TV,
     LEMMA4B_CHUNK,
     ROOTSPLIT_EVERY_KEY_MAX,
     _measure_draw,
@@ -67,6 +68,21 @@ def test_rootsplit_reaches_a_band_cut_block():
     spots = [(r["params"]["n"], r["params"]["l"]) for r in rows
              if r["params"]["n"] > ROOTSPLIT_EVERY_KEY_MAX]
     assert any(w.shape[1] < n - l + 1 for n, l in spots for _, _, w, _ in _jd_blocks(n, l))
+
+
+def test_arrival_holds_the_grid_to_the_quadrature_at_spot_keys():
+    rows = run_suite("arrival")
+    assert rows and all(r["holds"] and r["rhs"] == ARRIVAL_TV for r in rows)
+    keys = [(r["params"]["n"], r["params"]["l"]) for r in rows]
+    for n in (1000, 4096, 16384):
+        expected = [1, 2, -(-n // 4), -(-n // 2), n - 1, n]
+        assert [l for m, l in keys if m == n] == expected
+    assert [l for m, l in keys if m == 32768] == [2, 16384]
+    assert max(r["lhs"] for r in rows) <= 1e-13
+    assert [(r["params"]["n"], r["params"]["l"]) for r in run_suite("arrival", n=3)] == [
+        (3, 1), (3, 2), (3, 3)]
+    with pytest.raises(CapExceededError):
+        run_suite("arrival", n=1000, cap=999)
 
 
 # Reference routes for the batched lemma4b and metrics suites: the same draws,
