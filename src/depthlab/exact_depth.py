@@ -5,13 +5,17 @@ path; conditionally on the pair (i, j) of smaller/larger predecessor counts
 these are independent record counts.  The exact pmf is
 therefore a mixture, over an explicit joint grid for (i, j), of convolutions
 of record-count laws.  The mixture is evaluated as two matrix products over a
-banded grid: each block of rows is evaluated in closed form only over the
-columns that carry mass, and the mass left out is bounded and booked in
-truncated_tail.  The cost is O(c s + l s^2) with c the number of band cells
-and s the record-pmf support width.  For a central key the band holds about
-14% of the l (n-l+1) grid cells at n = 16384 and 10% at n = 32768; the
-first exact_depth_pmf(16384, 8192) in a process takes about 30 ms on 2 vCPU
-(AMD EPYC), 2 ms of it in the record matrix.
+banded grid: each block of rows is evaluated only over the columns that carry
+mass, and the mass left out is bounded and booked in truncated_tail.  A cell
+is a row factor times a column factor times an antidiagonal factor, so a
+block is one product of a column vector with a Hankel view of an
+antidiagonal vector, and rows are scaled to their exact mass in the product
+with the record laws, not cell by cell.  The cost is O(c s + l s^2) with c
+the number of band cells and s the record-pmf support width: the products,
+plus one multiply per cell.  For a central key the band holds about 14% of
+the l (n-l+1) grid cells at n = 16384 and 10% at n = 32768; the first
+exact_depth_pmf(16384, 8192) in a process takes about 20 ms on 2 vCPU (AMD
+EPYC), 3 ms of it in the record matrix, and (32768, 16384) about 50 ms.
 
 A second exact route shares nothing with the grid: the root of a random BST
 is uniform, so the laws of every key of every size up to N follow from the
@@ -81,7 +85,7 @@ __all__ = [
 ]
 
 # Exact computation is capped by the time of the banded grid sweep: a central
-# key at the cap evaluates ~10% of its l * (n - l + 1) grid cells, about 70 ms
+# key at the cap evaluates ~10% of its l * (n - l + 1) grid cells, about 50 ms
 # and under 5 MiB of transient arrays on 2 vCPU.
 DEFAULT_N_CAP = 32768
 
@@ -101,10 +105,18 @@ _HYPERGEOM_CHUNK_CELLS = 1 << 18
 # conditional standard deviations of j given i, and at least _JD_MIN_CHUNK.
 _JD_CHUNK_SIGMAS = 2.0
 _JD_MIN_CHUNK = 8
+# Most log units that the two factors of a block, or of a piece of one, may
+# span together (see _jd_cells).  Every cell then lies within e^{+-600} of the
+# reference cell, 1: a row sum over at most 2^15 cells stays finite, and a
+# cell within e^-40 of its row's peak, where the mass is, stays a normal
+# number after a join.  A block past it is cut into equal pieces, which also
+# keeps the running sums short where a row is flat over many columns.
+_JD_FACTOR_SPAN = 600.0
+_LOG2 = math.log(2.0)
 # Depth bins of the root-split rows; the last bin holds depth >= this.
 _ROW_DEPTH_BINS = 64
 
-# Grid cells below this floor end the banded walk (see _jd_band).
+# Grid cells below this floor end the banded walk (see _jd_bands).
 MASS_FLOOR = 1e-18
 _LOG_MASS_FLOOR = math.log(MASS_FLOOR)
 
@@ -185,103 +197,246 @@ def _antidiagonals(r: int, s: int) -> np.ndarray:
 def _jd_blocks(n: int, l: int, banded: bool = True):
     """Yield (i0, jlo, w, tail) for each block of rows of the joint predecessor grid.
 
-    w[k, j - jlo] is the weight of cell (i0 + k, j), read off the closed form
-    log w(i, j) = a_i + b_j + c_{i+j} with
-        a_i = -log n - log C(n-1, l-1) - log i! - log (l-1-i)!,
-        b_j = -log j! - log (n-l-j)!,
-        c_s = log s! + log (n-1-s)!.
-    Log space is required because cells underflow binary64 for central keys
-    once n is in the thousands.  Each row is log-concave in j (a product of
-    two binomial coefficients in j), so with ``banded`` the columns are
-    walked outwards from the block's modes in chunks of about two
-    conditional standard deviations of j given i.  A side stops at the first
-    chunk on which every row is past its mode and below MASS_FLOOR; that
-    chunk is kept, and the cells beyond it are bounded by the geometric tail
-    of the chunk's last two columns, booked per row in ``tail``.  Rows are
-    renormalized to their exact mass 1/l minus the booked tail, which removes
-    the log-gamma rounding of the closed form.  Without ``banded`` every
-    column is evaluated and ``tail`` is zero.  Every block is written into
-    one work buffer, allocated once and regrown only when a band is wider
-    than any before it, so each yielded w is overwritten by the next block:
-    a caller that keeps a block copies it.
+    Cell (i, j) weighs C(l-1, i) C(n-l, j) / (n C(n-1, i+j)): a row factor
+    times a column factor b_j = 1 / (j! (n-l-j)!) times an antidiagonal
+    factor c_{i+j} = (i+j)! (n-1-i-j)!.  w[k, j - jlo] is cell (i0 + k, j)
+    without its row factor, so each row of w is in a scale of its own: the
+    caller scales row k to its exact mass 1/l minus tail[k].  With
+    ``banded`` the columns are cut to the band that _jd_bands finds, and
+    tail[k] bounds row k's mass outside it; without, every column is kept
+    and tail is zero.  Every block is written into one work buffer,
+    allocated once and regrown only when a band is wider than any before
+    it, so each yielded w is overwritten by the next block: a caller that
+    keeps a block copies it.
     """
-    lf = _log_factorials(n)
     width = n - l + 1
-    a = (-math.log(n) - lf[n - 1] + lf[l - 1] + lf[n - l]) - (lf[:l] + lf[l - 1 :: -1])
-    b = -(lf[:width] + lf[width - 1 :: -1])
-    # cw[i, j] = c_{i+j}: a zero-copy sliding window over c, built directly
-    # on c's buffer (which bounds-checks the strides) because
-    # sliding_window_view's own checks cost more than a whole small grid.
-    c = lf[:n] + lf[n - 1 :: -1]
-    cw = np.ndarray((l, width), buffer=c, strides=(c.itemsize, c.itemsize))
-    cw.flags.writeable = False
+    if banded:
+        jlo, jhi, tails = _jd_bands(n, l)
+    else:
+        blocks = -(-l // _JD_BLOCK_ROWS)
+        jlo, jhi, tails = [0] * blocks, [width] * blocks, np.zeros((blocks, _JD_BLOCK_ROWS))
+    # The steps of the log factors: db[j] = log b_{j+1} - log b_j = log((n-l-j)/(j+1))
+    # and dc[s] = log c_{s+1} - log c_s = log((s+1)/(n-1-s)).
+    m = np.arange(1.0, n)
+    db = np.log(m[: width - 1][::-1] / m[: width - 1])
+    dc = np.log(m / m[::-1])
     buffer = np.empty(0)
-    for i0 in range(0, l, _JD_BLOCK_ROWS):
-        i1 = min(i0 + _JD_BLOCK_ROWS, l)
-        a_blk, cw_blk = a[i0:i1], cw[i0:i1]
-
-        def cells(cols: np.ndarray) -> np.ndarray:
-            return a_blk[:, None] + b[cols] + cw_blk[:, cols]
-
-        if banded:
-            jlo, jhi, tail = _jd_band(n, l, i0, i1, cells)
-        else:
-            jlo, jhi, tail = 0, width, np.zeros(i1 - i0)
-        size = (i1 - i0) * (jhi - jlo)
+    for k, (lo, hi) in enumerate(zip(jlo, jhi)):
+        i0 = k * _JD_BLOCK_ROWS
+        rows = min(_JD_BLOCK_ROWS, l - i0)
+        size = rows * (hi - lo)
         if buffer.size < size:  # doubled, so that a widening band regrows it rarely
             buffer = np.empty(2 * size)
-        w = buffer[:size].reshape(i1 - i0, jhi - jlo)
-        np.add(a_blk[:, None], b[jlo:jhi], out=w)
-        w += cw_blk[:, jlo:jhi]
-        np.exp(w, out=w)
-        w *= ((1.0 / l - tail) / w.sum(axis=1))[:, None]
-        yield i0, jlo, w, tail
+        w = buffer[:size].reshape(rows, hi - lo)
+        _jd_cells(db, dc, i0, lo, w)
+        yield i0, lo, w, tails[k, :rows]
 
 
-def _jd_band(n: int, l: int, i0: int, i1: int, cells) -> tuple[int, int, np.ndarray]:
-    """Column band [jlo, jhi) of rows i0..i1-1 and the per-row bound on the mass outside it.
+def _jd_cells(db: np.ndarray, dc: np.ndarray, i0: int, jlo: int, w: np.ndarray) -> None:
+    """Write the cells of rows i0.. and columns jlo.. of the grid into w, without row factors.
 
-    ``cells(cols)`` evaluates log w over the block's rows at columns ``cols``.
-    Row i peaks at j = ceil(i (n-l+1)/(l-1) - 1); the walk starts from the
-    block's span of modes.  A chunk [ja, ja + step) right of the modes ends
-    the walk when at its inner column ja every row is below MASS_FLOOR and
-    decreasing: by log-concavity each row then decreases from ja onwards, so
-    the whole chunk is below the floor.  Only the inner column pair of each
-    candidate chunk is evaluated, all candidates in one gather.  The left side
-    mirrors the right.
+    A block is eb[j] ec[k + j]: one multiply of the column factor with a
+    Hankel view of the antidiagonal factor.  Each factor is the exp of a
+    running sum of its log steps (_jd_factor_logs), so it carries none of
+    the absolute rounding of a log-factorial table.  Where the two factors
+    span more than _JD_FACTOR_SPAN together, the columns are cut into
+    ceil(span / _JD_FACTOR_SPAN) equal pieces, and so on until every
+    piece's span is within it.  Each piece has a frame of its own, and is
+    joined to the one before it, row by row, by the ratio of their values
+    at the column they share, never by absolute table values; then every
+    row is scaled by its largest join.  A row's peak then stays within
+    e^{+-_JD_FACTOR_SPAN} of 1.
+    """
+    rows, cols = w.shape
+    pieces, todo = [], [(jlo, jlo + cols)]
+    while todo:
+        q0, q1 = todo.pop()
+        f0 = q0 - 1 if q0 > jlo else q0  # a later piece starts at the column it shares
+        lb, lc, span = _jd_factor_logs(db, dc, i0, rows, f0, q1)
+        if span > _JD_FACTOR_SPAN and q1 - q0 > 1:
+            cuts = np.linspace(q0, q1, min(q1 - q0, math.ceil(span / _JD_FACTOR_SPAN)) + 1).astype(int)
+            todo += zip(cuts[-2::-1].tolist(), cuts[:0:-1].tolist())
+        else:
+            pieces.append((q0 - f0, lb, lc))
+    if len(pieces) == 1:
+        _, lb, lc = pieces[0]
+        np.multiply(_hankel(np.exp(lc, out=lc), rows, cols), np.exp(lb, out=lb), out=w)
+        return
+    joins, join, prev = [], np.zeros(rows), None
+    for skip, lb, lc in pieces:
+        if prev is not None:
+            last = prev[0].size - 1
+            join = join + (prev[0][last] + prev[1][last : last + rows]) - (lb[0] + lc[:rows])
+        joins.append(join)
+        prev = lb, lc
+    top = np.maximum.reduce(joins)
+    j = 0
+    for (skip, lb, lc), join in zip(pieces, joins):
+        part = w[:, j : j + lb.size - skip]
+        np.multiply(_hankel(np.exp(lc[skip:]), rows, part.shape[1]), np.exp(lb[skip:]), out=part)
+        part *= np.exp(join - top)[:, None]
+        j += part.shape[1]
+
+
+def _hankel(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The zero-copy view h[k, j] = v[k + j], built on v's buffer (which
+    bounds-checks the strides) because sliding_window_view's own checks cost
+    more than a whole small block."""
+    return np.ndarray((rows, cols), buffer=v, strides=(v.itemsize, v.itemsize))
+
+
+def _jd_factor_logs(db: np.ndarray, dc: np.ndarray, i0: int, rows: int, j0: int, j1: int
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The log column factor on columns j0..j1-1, the log antidiagonal factor
+    on s = i0+j0 .. i0+rows+j1-2, and the span of their sums (a bound on it
+    where that is below _JD_FACTOR_SPAN).
+
+    Both are running sums taken outwards from a reference cell: about the
+    middle row's mode, clipped to the piece.  Each factor is
+    detrended by the slope g that flattens the antidiagonal factor there;
+    this scales row i by e^{g i} only.  So the sums are small where the
+    mass is, and the reference cell is 1.
+    """
+    width, n = db.size + 1, dc.size + 1
+    l = n - width + 1
+    i = i0 + rows // 2
+    jref = (j0 + j1 - 1) // 2 if l == 1 else min(max(i * (width - 1) // (l - 1), j0), j1 - 1)
+    sref = i + jref
+    g = -dc[min(sref, n - 2)] if n > 1 else 0.0
+    if rows == 1:  # one row is its own Hankel product: sum its steps as one, with no cancelling factors
+        lb = _running_sum(db[j0 : j1 - 1] + dc[i0 + j0 : i0 + j1 - 1], jref - j0, 0.0)
+        return lb, np.zeros(lb.size), float(np.maximum.reduce(lb) - min(lb[0], lb[-1]))
+    lb = _running_sum(db[j0 : j1 - 1], jref - j0, g)
+    lc = _running_sum(dc[i0 + j0 : i0 + rows + j1 - 2], sref - i0 - j0, -g)
+    # lb is log C(n-l, j) - g j and lc is -log C(n-1, s) + g s, up to constants,
+    # and a log binomial coefficient of m spans at most m log 2.
+    span = (n + width - 2) * _LOG2 + abs(g) * (lb.size + lc.size - 2)
+    if span > _JD_FACTOR_SPAN:  # measure it: lb is concave and lc convex, so each has an extreme at an end
+        span = (np.maximum.reduce(lb) - min(lb[0], lb[-1])) + (max(lc[0], lc[-1]) - np.minimum.reduce(lc))
+    return lb, lc, float(span)
+
+
+def _running_sum(steps: np.ndarray, ref: int, g: float) -> np.ndarray:
+    """x[k] = sum of steps[ref:k] - g (k - ref), taken outwards from x[ref] = 0."""
+    x = np.empty(steps.size + 1)
+    x[ref] = 0.0
+    right = x[ref + 1 :]
+    np.subtract(steps[ref:], g, out=right)
+    np.add.accumulate(right, out=right)
+    if ref:
+        left = x[ref - 1 :: -1]
+        np.subtract(g, steps[ref - 1 :: -1], out=left)
+        np.add.accumulate(left, out=left)
+    return x
+
+
+def _jd_bands(n: int, l: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Column band [jlo, jhi) of each block of rows, and per row (blocks x
+    _JD_BLOCK_ROWS) the bound on the mass outside it.
+
+    Row i peaks at j = ceil(i (n-l+1)/(l-1) - 1), and is log-concave in j
+    (a product of two binomial coefficients in j).  A block's columns are
+    walked outwards from its span of modes in chunks of step = about two
+    conditional standard deviations of j given i.  A chunk [ja, ja + step)
+    right of the modes ends the walk when at its inner column ja every row
+    of the block is below MASS_FLOOR and decreasing: by log-concavity each
+    row then decreases from ja onwards, so the whole chunk is below the
+    floor.  That chunk is kept, and the cells beyond it are bounded by the
+    geometric tail of the chunk's last two columns.  The left side mirrors
+    the right.  The walk is run for every block at once: the first chunk
+    whose inner column passes for the block's nearest row (the last row on
+    the right, the first on the left) is checked for every row, and later
+    ones only if it fails.  A block whose modes span every column has no
+    band to find, nor does any block of a grid whose first and last blocks
+    both have none.
     """
     width = n - l + 1
-    tail = np.zeros(i1 - i0)
+    blocks = -(-l // _JD_BLOCK_ROWS)
+    tail = np.zeros((blocks, _JD_BLOCK_ROWS))
     if l == 1:
-        return 0, width, tail  # one flat row: every column is a mode
-    slope = (n - l + 1) / (l - 1)
-    lo = min(max(math.floor(slope * i0 - 1.0), 0), width - 1)
-    hi = min(math.floor(slope * (i1 - 1) - 1.0) + 2, width)
-    if lo == 0 and hi == width:
-        return 0, width, tail
-    # Largest conditional variance of j given i in the block (beta-binomial).
-    i_mid = min(max((l - 1) // 2, i0), i1 - 1)
-    var = (n - l) * (i_mid + 1) * (l - i_mid) * (n + 1) / ((l + 1) ** 2 * (l + 2))
-    step = max(_JD_MIN_CHUNK, math.ceil(_JD_CHUNK_SIGMAS * math.sqrt(var)))
+        return [0], [width], tail  # one flat row: every column is a mode
+    slope = width / (l - 1)
+    # The modes move right with i, so no block has a band if the last starts
+    # at column 0 and the first reaches the last column.
+    if (math.floor(slope * ((blocks - 1) * _JD_BLOCK_ROWS) - 1.0) <= 0
+            and math.floor(slope * (min(_JD_BLOCK_ROWS, l) - 1) - 1.0) + 2 >= width):
+        return [0] * blocks, [width] * blocks, tail
+    jlo, jhi = np.zeros(blocks, dtype=int), np.full(blocks, width)
+    i0 = np.arange(0, l, _JD_BLOCK_ROWS)
+    i1 = np.minimum(i0 + _JD_BLOCK_ROWS, l)
+    lo = np.minimum(np.maximum(np.floor(slope * i0 - 1.0), 0), width - 1).astype(int)
+    hi = np.minimum(np.floor(slope * (i1 - 1) - 1.0).astype(int) + 2, width)
+    cut = np.flatnonzero((lo > 0) | (hi < width))
+    lf = _log_factorials(n)
+    a = (-math.log(n) - lf[n - 1] + lf[l - 1] + lf[n - l]) - (lf[:l] + lf[l - 1 :: -1])
+    b = -(lf[:width] + lf[width - 1 :: -1])
+    c = lf[:n] + lf[n - 1 :: -1]
 
-    right = np.arange(hi, width - 1, step)
-    left = np.arange(lo - 1, 0, -step)
-    lw_in = cells(np.concatenate((right, left)))
-    lw_out = cells(np.concatenate((right + 1, left - 1)))
-    ok = ((lw_in < _LOG_MASS_FLOOR) & (lw_out < lw_in)).all(axis=0)
-    ok_right, ok_left = ok[: right.size], ok[right.size :]
-    jhi = min(int(right[ok_right.argmax()]) + step, width) if ok_right.any() else width
-    jlo = max(int(left[ok_left.argmax()]) + 1 - step, 0) if ok_left.any() else 0
+    def cells(r: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return a[r] + b[cols] + c[r + cols]
 
-    for edge, prev, beyond in ((jhi - 1, jhi - 2, width - jhi), (jlo, jlo + 1, jlo)):
-        if beyond == 0:
-            continue
-        lw = cells(np.array([edge, prev]))
-        log_ratio = np.minimum(lw[:, 0] - lw[:, 1], 0.0)
+    # Largest conditional variance of j given i in each block (beta-binomial).
+    step = np.array([max(_JD_MIN_CHUNK, math.ceil(_JD_CHUNK_SIGMAS * math.sqrt(
+        (n - l) * (m + 1) * (l - m) * (n + 1) / ((l + 1) ** 2 * (l + 2)))))
+        for m in np.minimum(np.maximum((l - 1) // 2, i0[cut]), i1[cut] - 1).tolist()], dtype=int)
+    # Both sides of every cut block at once: the right side walks up from hi,
+    # the left down from lo - 1, and k = cut.size.
+    k = cut.size
+    rows = np.minimum(i0[cut, None] + np.arange(_JD_BLOCK_ROWS), i1[cut, None] - 1)
+    rows = np.concatenate((rows, rows))
+    stride = np.concatenate((step, -step))
+    found = _jd_walk(cells, rows, np.concatenate((rows[:k, -1], rows[k:, 0])),
+                     np.concatenate((hi[cut], lo[cut] - 1)), np.repeat([width - 1, 0], k), stride)
+    right, left = found[:k] >= 0, found[k:] >= 0
+    jhi[cut[right]] = np.minimum(found[:k][right] + step[right], width)
+    jlo[cut[left]] = np.maximum(found[k:][left] + 1 - step[left], 0)
+    # Past each band edge, a geometric tail at the ratio of the edge's last two columns.
+    edge = np.concatenate((jhi[cut] - 1, jlo[cut]))
+    beyond = np.concatenate((width - jhi[cut], jlo[cut]))
+    booked = np.flatnonzero(beyond > 0)
+    if booked.size:
+        r, edge = rows[booked], edge[booked, None]
+        lw = cells(r, edge)
+        log_ratio = np.minimum(lw - cells(r, edge - np.sign(stride[booked, None])), 0.0)
         with np.errstate(divide="ignore"):
             log_geom = log_ratio - np.log(-np.expm1(log_ratio))
-        tail += np.exp(lw[:, 0] + np.minimum(log_geom, math.log(beyond)))
-    return jlo, jhi, tail
+        log_beyond = np.array([math.log(x) for x in beyond[booked].tolist()])
+        terms = np.exp(lw + np.minimum(log_geom, log_beyond[:, None]))
+        # Right before left, as one row's two sides are added in this order.
+        for half in (booked < k, booked >= k):
+            tail[cut[booked[half] % k]] += terms[half]
+    return jlo.tolist(), jhi.tolist(), tail
+
+
+def _jd_walk(cells, rows: np.ndarray, near: np.ndarray, start: np.ndarray, stop: np.ndarray,
+             step: np.ndarray) -> np.ndarray:
+    """Per walk, the first inner column ja of start, start + step, ... (short
+    of stop) at which every one of its rows is below MASS_FLOOR and
+    decreasing away from the modes; -1 where there is none.
+
+    The candidates of every walk are tried on its nearest row in one gather;
+    only the first that row passes is tried on every row.
+    """
+    count = np.maximum(-((start - stop) // step), 0)  # ceil((stop - start) / step)
+    walk = np.repeat(np.arange(start.size), count)
+    ja = start[walk] + step[walk] * (np.arange(walk.size) - np.repeat(np.cumsum(count) - count, count))
+    out = np.sign(step[walk])
+    lw = cells(near[walk], ja)
+    ok = (lw < _LOG_MASS_FLOOR) & (cells(near[walk], ja + out) < lw)
+    found = np.full(start.size, -1)
+    while ok.any():
+        first = np.flatnonzero(ok)
+        head = np.ones(first.size, dtype=bool)  # walk is ascending: keep each walk's first
+        np.not_equal(walk[first[1:]], walk[first[:-1]], out=head[1:])
+        pick = first[head]
+        cols = ja[pick][:, None]
+        r = rows[walk[pick]]
+        lw = cells(r, cols)
+        passed = pick[((lw < _LOG_MASS_FLOOR) & (cells(r, cols + out[pick, None]) < lw)).all(axis=1)]
+        found[walk[passed]] = ja[passed]
+        ok[pick] = False
+        ok &= found[walk] < 0
+    return found
 
 
 def predecessor_joint(n: int, l: int) -> PredecessorJoint:
@@ -295,7 +450,8 @@ def predecessor_joint(n: int, l: int) -> PredecessorJoint:
         raise CapExceededError("joint predecessor grid", n, DEFAULT_N_CAP)
     weights = np.empty((l, n - l + 1))
     for i0, _, w, _ in _jd_blocks(n, l, banded=False):
-        weights[i0 : i0 + w.shape[0]] = w  # w lives in a buffer the next block overwrites
+        # Rows to their mass 1/l; w lives in a buffer the next block overwrites.
+        np.multiply(w, ((1.0 / l) / w.sum(axis=1))[:, None], out=weights[i0 : i0 + w.shape[0]])
     return PredecessorJoint(n=n, l=l, weights=weights)
 
 
@@ -332,7 +488,11 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
     grid = None
     booked = _record_spills(n, l, rec_tails)
     for i0, jlo, w, tail in _jd_blocks(n, l):
-        block = r_small[i0 : i0 + w.shape[0]].T @ (w @ r_large[jlo : jlo + w.shape[1]])
+        moves = w @ r_large[jlo : jlo + w.shape[1]]
+        # Each record row sums to 1 less a spill below 1e-18, so the row sums
+        # of the product are those of w: rows go to 1/l - tail here, not per cell.
+        moves *= ((1.0 / l - tail) / np.add.reduce(moves, axis=1))[:, None]
+        block = r_small[i0 : i0 + w.shape[0]].T @ moves
         if grid is None:
             grid = block
         else:
@@ -450,9 +610,9 @@ def _arrival_laws(a: int, u: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, n
     nodes from _window_runs shares one rectangle over the union of their
     windows, at most twice their own cells.  A binomial pmf is
     log-concave, so the mass past a cut edge of the rectangle is bounded by
-    the geometric tail of its last two cells, as in _jd_band.  Each row is
+    the geometric tail of its last two cells, as in _jd_bands.  Each row is
     renormalized to 1 minus that bound, which removes the rounding of the
-    log-space closed form, as _jd_blocks does for its rows.
+    log-space closed form.
     """
     laws = np.empty((u.size, rec.shape[1]))
     cut = np.zeros(u.size)

@@ -60,6 +60,10 @@ FIND_ENUMERATION_CAP = 7  # find runs the quickselect kernel for each key over a
 # it.  At this cap, on 2 vCPU, --n takes 0.04 s and --n-max (every N up to the
 # cap) 1.4 s at a 160 MiB peak.
 LEMMA5_CAP = 160
+# lemma2 costs Theta(n^2) at one n and Theta(N^3) over every n up to N: its
+# sweep (--n-max) stops at this N, which takes about 1.3 s on 2 vCPU.  One
+# --n is cut at --cap only.
+LEMMA2_CAP = 1000
 # rootsplit checks every key up to this n and _spot_keys above it.  At n = 1000
 # a spot key reaches band-cut blocks of the predecessor grid; at n <= 500 none does.
 ROOTSPLIT_EVERY_KEY_MAX = 60
@@ -230,7 +234,7 @@ def _theorem6(sw: _Sweep) -> Rows:
 
 
 def _lemma2(sw: _Sweep) -> Columns:
-    sizes = sw.sizes(300, cap=sw.cap)
+    sizes = sw.sizes(300, cap=sw.cap)[:LEMMA2_CAP]  # a sweep is 1..n_max, so this cuts it at n = LEMMA2_CAP
     lhs = np.concatenate([_mixing_variance_rows(n) for n in sizes])
     params = {"n": np.repeat(sizes, sizes), "l": np.concatenate([np.arange(1, n + 1) for n in sizes])}
     return params, lhs, np.full(lhs.size, MIXING_VARIANCE_BOUND), _holds(lhs, MIXING_VARIANCE_BOUND)
