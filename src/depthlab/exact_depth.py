@@ -215,11 +215,10 @@ def _jd_blocks(n: int, l: int, banded: bool = True):
     else:
         blocks = -(-l // _JD_BLOCK_ROWS)
         jlo, jhi, tails = [0] * blocks, [width] * blocks, np.zeros((blocks, _JD_BLOCK_ROWS))
-    # The steps of the log factors: db[j] = log b_{j+1} - log b_j = log((n-l-j)/(j+1))
-    # and dc[s] = log c_{s+1} - log c_s = log((s+1)/(n-1-s)).
-    m = np.arange(1.0, n)
-    db = np.log(m[: width - 1][::-1] / m[: width - 1])
-    dc = np.log(m / m[::-1])
+    # The steps of the log factors: dc[s] = log c_{s+1} - log c_s and
+    # db[j] = log b_{j+1} - log b_j = log((n-l-j)/(j+1)), which is the same
+    # table for n-l+1, reversed.
+    dc, db = _log_steps(n), _log_steps(width)[::-1]
     buffer = np.empty(0)
     for k, (lo, hi) in enumerate(zip(jlo, jhi)):
         i0 = k * _JD_BLOCK_ROWS
@@ -230,6 +229,15 @@ def _jd_blocks(n: int, l: int, banded: bool = True):
         w = buffer[:size].reshape(rows, hi - lo)
         _jd_cells(db, dc, i0, lo, w)
         yield i0, lo, w, tails[k, :rows]
+
+
+@lru_cache(maxsize=8)
+def _log_steps(m: int) -> np.ndarray:
+    """log((s+1)/(m-1-s)) for s = 0..m-2: the steps of log s! (m-1-s)!."""
+    k = np.arange(1.0, m)
+    steps = np.log(k / k[::-1])
+    steps.flags.writeable = False
+    return steps
 
 
 def _jd_cells(db: np.ndarray, dc: np.ndarray, i0: int, jlo: int, w: np.ndarray) -> None:
@@ -302,7 +310,7 @@ def _jd_factor_logs(db: np.ndarray, dc: np.ndarray, i0: int, rows: int, j0: int,
     i = i0 + rows // 2
     jref = (j0 + j1 - 1) // 2 if l == 1 else min(max(i * (width - 1) // (l - 1), j0), j1 - 1)
     sref = i + jref
-    g = -dc[min(sref, n - 2)] if n > 1 else 0.0
+    g = -float(dc[min(sref, n - 2)]) if n > 1 else 0.0
     if rows == 1:  # one row is its own Hankel product: sum its steps as one, with no cancelling factors
         lb = _running_sum(db[j0 : j1 - 1] + dc[i0 + j0 : i0 + j1 - 1], jref - j0, 0.0)
         return lb, np.zeros(lb.size), float(np.maximum.reduce(lb) - min(lb[0], lb[-1]))

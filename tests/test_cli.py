@@ -70,6 +70,17 @@ def test_verify_sweep_over_its_cap_exits_3_at_once(suite, n, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_verify_lemma2_sweep_stops_at_its_cap():
+    # Every n up to --n-max costs Theta(N^3): the sweep is cut at LEMMA2_CAP,
+    # as --n above --cap exits 3 at once.
+    checks = verify.LEMMA2_CAP * (verify.LEMMA2_CAP + 1) // 2
+    t0 = time.perf_counter()
+    code, out = run_cli(["verify", "--suite", "lemma2", "--n-max", "40000"])
+    assert time.perf_counter() - t0 < 20.0
+    assert code == 0
+    assert json.loads(out)["checks"] == checks
+
+
 def test_exact_over_cap_exit_3():
     code, _ = run_cli(["exact", "--n", "40000", "--l", "1"])
     assert code == 3

@@ -27,9 +27,12 @@ from depthlab.exact_depth import (
     BRUTE_FORCE_CAP,
     DEFAULT_N_CAP,
     MIXING_VARIANCE_BOUND,
+    MASS_FLOOR,
     CapExceededError,
     _HYPERGEOM_CHUNK_CELLS,
     _JD_BLOCK_ROWS,
+    _JD_CHUNK_SIGMAS,
+    _JD_MIN_CHUNK,
     _MIXING_CHUNK_CELLS,
     _arrival_laws,
     _arrival_nodes,
@@ -38,6 +41,7 @@ from depthlab.exact_depth import (
     _depth_pmf_by_arrival,
     _gauss_legendre,
     _hypergeometric_log_bound,
+    _jd_bands,
     _jd_blocks,
     _ln_table,
     _log_factorials,
@@ -175,10 +179,14 @@ def test_joint_grid_matches_dense_oracle_across_blocks():
         np.testing.assert_allclose(predecessor_joint(n, l).weights, dense, rtol=0, atol=1e-15)
 
 
+# Keys whose grids have band-cut blocks of every shape: narrow and wide grids,
+# first, middle and short last blocks.
+_BAND_CASES = [(257, l) for l in range(1, 258, 16)]
+_BAND_CASES += [(3000, 750), (3000, 1500), (16384, 100)] + _BLOCK_EDGE_CASES
+
+
 def test_booked_tail_covers_out_of_band_mass():
-    cases = [(257, l) for l in range(1, 258, 16)]
-    cases += [(3000, 750), (3000, 1500), (16384, 100)] + _BLOCK_EDGE_CASES
-    for n, l in cases:
+    for n, l in _BAND_CASES:
         dense = _dense_joint(n, l)
         outside = 0.0
         for i0, jlo, w, tail in _jd_blocks(n, l):
@@ -188,6 +196,91 @@ def test_booked_tail_covers_out_of_band_mass():
             outside += float(row_out.sum())
         assert exact_depth_pmf(n, l).truncated_tail >= outside, (n, l)
         assert move_joint_pmf(n, l).truncated_tail >= outside, (n, l)
+
+
+def _reference_band(n, l, i0, i1):
+    """Test-side reference for one block of _jd_bands: the per-block walk,
+    which evaluates every row of the block on every candidate column.
+
+    Returns (jlo, jhi, tail) for rows i0..i1-1, cells read off the
+    log-factorial closed form a_i + b_j + c_{i+j} in the same order of
+    additions as the library.
+    """
+    lf = _log_factorials(n)
+    width = n - l + 1
+    a = (-math.log(n) - lf[n - 1] + lf[l - 1] + lf[n - l]) - (lf[:l] + lf[l - 1 :: -1])
+    b = -(lf[:width] + lf[width - 1 :: -1])
+    c = lf[:n] + lf[n - 1 :: -1]
+    rows = np.arange(i0, i1)[:, None]
+
+    def cells(cols):
+        return a[rows] + b[cols] + c[rows + cols]
+
+    tail = np.zeros(i1 - i0)
+    if l == 1:
+        return 0, width, tail
+    slope = (n - l + 1) / (l - 1)
+    lo = min(max(math.floor(slope * i0 - 1.0), 0), width - 1)
+    hi = min(math.floor(slope * (i1 - 1) - 1.0) + 2, width)
+    if lo == 0 and hi == width:
+        return 0, width, tail
+    i_mid = min(max((l - 1) // 2, i0), i1 - 1)
+    var = (n - l) * (i_mid + 1) * (l - i_mid) * (n + 1) / ((l + 1) ** 2 * (l + 2))
+    step = max(_JD_MIN_CHUNK, math.ceil(_JD_CHUNK_SIGMAS * math.sqrt(var)))
+    right = np.arange(hi, width - 1, step)
+    left = np.arange(lo - 1, 0, -step)
+    lw_in = cells(np.concatenate((right, left)))
+    lw_out = cells(np.concatenate((right + 1, left - 1)))
+    ok = ((lw_in < math.log(MASS_FLOOR)) & (lw_out < lw_in)).all(axis=0)
+    ok_right, ok_left = ok[: right.size], ok[right.size :]
+    jhi = min(int(right[ok_right.argmax()]) + step, width) if ok_right.any() else width
+    jlo = max(int(left[ok_left.argmax()]) + 1 - step, 0) if ok_left.any() else 0
+    for edge, prev, beyond in ((jhi - 1, jhi - 2, width - jhi), (jlo, jlo + 1, jlo)):
+        if beyond == 0:
+            continue
+        lw = cells(np.array([edge, prev]))
+        log_ratio = np.minimum(lw[:, 0] - lw[:, 1], 0.0)
+        with np.errstate(divide="ignore"):
+            log_geom = log_ratio - np.log(-np.expm1(log_ratio))
+        tail += np.exp(lw[:, 0] + np.minimum(log_geom, math.log(beyond)))
+    return jlo, jhi, tail
+
+
+def test_band_search_makes_the_per_block_walks_decisions():
+    # The one vectorized search must cut every band where the per-block walk
+    # does and book the same tail bits: no speedup from a narrower band or a
+    # looser bound.
+    for n, l in _BAND_CASES + [(16384, 8192), (16384, 8193), (32768, 16384)]:
+        jlo, jhi, tail = _jd_bands(n, l)
+        assert len(jlo) == len(jhi) == -(-l // _JD_BLOCK_ROWS)
+        for k, i0 in enumerate(range(0, l, _JD_BLOCK_ROWS)):
+            i1 = min(i0 + _JD_BLOCK_ROWS, l)
+            ref_lo, ref_hi, ref_tail = _reference_band(n, l, i0, i1)
+            assert (jlo[k], jhi[k]) == (ref_lo, ref_hi), (n, l, i0)
+            assert np.array_equal(tail[k, : i1 - i0], ref_tail), (n, l, i0)
+
+
+def test_keys_just_below_n_match_their_mirror_keys():
+    # Grids of at most four columns: the factors carry no log-factorial
+    # rounding, which once left TV 5e-13 between these mirror keys.
+    for n in (4096, 32768):
+        for k in (1, 2, 3):
+            d = float(total_variation(exact_depth_pmf(n, n - k), exact_depth_pmf(n, k + 1)))
+            assert d <= 1e-14, (n, k, d)
+
+
+def test_cut_blocks_match_the_arrival_law(monkeypatch):
+    # Wide blocks of few rows are cut into pieces, each joined to the last at
+    # a shared column.  A join by absolute log-table values left TV 5-8e-14.
+    calls = []
+    factor_logs = exact_depth._jd_factor_logs
+    monkeypatch.setattr(exact_depth, "_jd_factor_logs", lambda *a: calls.append(a) or factor_logs(*a))
+    for n, l in ((16384, 1), (16384, 2), (16384, 3), (16384, 100), (32768, 2)):
+        calls.clear()
+        d = float(total_variation(exact_depth_pmf(n, l), _depth_pmf_by_arrival(n, l)[0]))
+        assert d <= 2e-14, (n, l, d)
+        if l > 1:  # one row is summed whole; these blocks take more than one piece
+            assert len(calls) > 1, (n, l)
 
 
 def test_extreme_keys_at_large_n_are_shifted_record_laws():
