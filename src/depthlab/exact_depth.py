@@ -311,11 +311,14 @@ def _jd_factor_logs(db: np.ndarray, dc: np.ndarray, i0: int, rows: int, j0: int,
     jref = (j0 + j1 - 1) // 2 if l == 1 else min(max(i * (width - 1) // (l - 1), j0), j1 - 1)
     sref = i + jref
     g = -float(dc[min(sref, n - 2)]) if n > 1 else 0.0
-    if rows == 1:  # one row is its own Hankel product: sum its steps as one, with no cancelling factors
-        lb = _running_sum(db[j0 : j1 - 1] + dc[i0 + j0 : i0 + j1 - 1], jref - j0, 0.0)
-        return lb, np.zeros(lb.size), float(np.maximum.reduce(lb) - min(lb[0], lb[-1]))
-    lb = _running_sum(db[j0 : j1 - 1], jref - j0, g)
+    # The middle row's own log profile: its steps do not cancel, so its sums
+    # stay small across the row's mass even where the two factors are large.
+    r = rows // 2
+    row = _running_sum(db[j0 : j1 - 1] + dc[i0 + r + j0 : i0 + r + j1 - 1], jref - j0, 0.0)
+    if rows == 1:  # one row is its own profile, with a unit antidiagonal factor
+        return row, np.zeros(row.size), float(np.maximum.reduce(row) - min(row[0], row[-1]))
     lc = _running_sum(dc[i0 + j0 : i0 + rows + j1 - 2], sref - i0 - j0, -g)
+    lb = row - lc[r : r + row.size]  # one rounding per column, not a running one
     # lb is log C(n-l, j) - g j and lc is -log C(n-1, s) + g s, up to constants,
     # and a log binomial coefficient of m spans at most m log 2.
     span = (n + width - 2) * _LOG2 + abs(g) * (lb.size + lc.size - 2)
