@@ -147,7 +147,8 @@ class PredecessorJoint:
 
     weights[i][j] = P(i earlier-inserted keys below l and j above l), for
     0 <= i <= l-1 and 0 <= j <= n-l.  Rows sum to 1/l and columns to
-    1/(n-l+1): each count is marginally uniform.
+    1/(n-l+1), up to the cells cut from the grid's bands: each count is
+    marginally uniform.
     """
 
     n: int
@@ -194,27 +195,22 @@ def _antidiagonals(r: int, s: int) -> np.ndarray:
     return diag
 
 
-def _jd_blocks(n: int, l: int, banded: bool = True):
+def _jd_blocks(n: int, l: int):
     """Yield (i0, jlo, w, tail) for each block of rows of the joint predecessor grid.
 
     Cell (i, j) weighs C(l-1, i) C(n-l, j) / (n C(n-1, i+j)): a row factor
     times a column factor b_j = 1 / (j! (n-l-j)!) times an antidiagonal
     factor c_{i+j} = (i+j)! (n-1-i-j)!.  w[k, j - jlo] is cell (i0 + k, j)
     without its row factor, so each row of w is in a scale of its own: the
-    caller scales row k to its exact mass 1/l minus tail[k].  With
-    ``banded`` the columns are cut to the band that _jd_bands finds, and
-    tail[k] bounds row k's mass outside it; without, every column is kept
-    and tail is zero.  Every block is written into one work buffer,
+    caller scales row k to its exact mass 1/l minus tail[k].  The columns
+    are cut to the band that _jd_bands finds, and tail[k] bounds row k's
+    mass outside it.  Every block is written into one work buffer,
     allocated once and regrown only when a band is wider than any before
     it, so each yielded w is overwritten by the next block: a caller that
     keeps a block copies it.
     """
     width = n - l + 1
-    if banded:
-        jlo, jhi, tails = _jd_bands(n, l)
-    else:
-        blocks = -(-l // _JD_BLOCK_ROWS)
-        jlo, jhi, tails = [0] * blocks, [width] * blocks, np.zeros((blocks, _JD_BLOCK_ROWS))
+    jlo, jhi, tails = _jd_bands(n, l)
     # The steps of the log factors: dc[s] = log c_{s+1} - log c_s and
     # db[j] = log b_{j+1} - log b_j = log((n-l-j)/(j+1)), which is the same
     # table for n-l+1, reversed.
@@ -299,22 +295,23 @@ def _jd_factor_logs(db: np.ndarray, dc: np.ndarray, i0: int, rows: int, j0: int,
     on s = i0+j0 .. i0+rows+j1-2, and the span of their sums (a bound on it
     where that is below _JD_FACTOR_SPAN).
 
-    Both are running sums taken outwards from a reference cell: about the
-    middle row's mode, clipped to the piece.  Each factor is
-    detrended by the slope g that flattens the antidiagonal factor there;
-    this scales row i by e^{g i} only.  So the sums are small where the
-    mass is, and the reference cell is 1.
+    Both are taken outwards from a reference cell: about the middle row's
+    mode, clipped to the piece.  The antidiagonal factor is the running sum
+    of its steps, detrended by the slope g that flattens it there, which
+    scales row i by e^{g i} only.  The column factor is the middle row's own
+    log profile, a running sum of steps that do not cancel, less the
+    antidiagonal factor along that row.  So the sums are small where the
+    mass is, even where the two factors are large, and the reference cell
+    is 1.
     """
     width, n = db.size + 1, dc.size + 1
     l = n - width + 1
-    i = i0 + rows // 2
+    r = rows // 2
+    i = i0 + r
     jref = (j0 + j1 - 1) // 2 if l == 1 else min(max(i * (width - 1) // (l - 1), j0), j1 - 1)
     sref = i + jref
     g = -float(dc[min(sref, n - 2)]) if n > 1 else 0.0
-    # The middle row's own log profile: its steps do not cancel, so its sums
-    # stay small across the row's mass even where the two factors are large.
-    r = rows // 2
-    row = _running_sum(db[j0 : j1 - 1] + dc[i0 + r + j0 : i0 + r + j1 - 1], jref - j0, 0.0)
+    row = _running_sum(db[j0 : j1 - 1] + dc[i + j0 : i + j1 - 1], jref - j0, 0.0)
     if rows == 1:  # one row is its own profile, with a unit antidiagonal factor
         return row, np.zeros(row.size), float(np.maximum.reduce(row) - min(row[0], row[-1]))
     lc = _running_sum(dc[i0 + j0 : i0 + rows + j1 - 2], sref - i0 - j0, -g)
@@ -345,8 +342,12 @@ def _jd_bands(n: int, l: int) -> tuple[list[int], list[int], np.ndarray]:
     """Column band [jlo, jhi) of each block of rows, and per row (blocks x
     _JD_BLOCK_ROWS) the bound on the mass outside it.
 
-    Row i peaks at j = ceil(i (n-l+1)/(l-1) - 1), and is log-concave in j
-    (a product of two binomial coefficients in j).  A block's columns are
+    The search reads cells in log space off the log-factorial table,
+    log w(i, j) = a_i + b_j + c_{i+j}, with a_i the log row factor
+    -log n - log C(n-1, l-1) - log i! - log (l-1-i)!: the floor is an
+    absolute mass, and far cells underflow binary64.  Row i peaks at
+    j = ceil(i (n-l+1)/(l-1) - 1), and is log-concave in j (a product of
+    two binomial coefficients in j).  A block's columns are
     walked outwards from its span of modes in chunks of step = about two
     conditional standard deviations of j given i.  A chunk [ja, ja + step)
     right of the modes ends the walk when at its inner column ja every row
@@ -453,16 +454,19 @@ def _jd_walk(cells, rows: np.ndarray, near: np.ndarray, start: np.ndarray, stop:
 def predecessor_joint(n: int, l: int) -> PredecessorJoint:
     """Materialize the full joint grid; memory is l * (n - l + 1) doubles.
 
-    Capped at DEFAULT_N_CAP, which also bounds harmonic_mixing_measure, the
-    consumer of this grid.
+    The cells outside each block's band (see _jd_bands) are zero: they
+    carry less than the booked tail, below 1e-18 of a row's mass.  Capped at
+    DEFAULT_N_CAP, which also bounds harmonic_mixing_measure, the consumer
+    of this grid.
     """
     _validate_nl(n, l)
     if n > DEFAULT_N_CAP:
         raise CapExceededError("joint predecessor grid", n, DEFAULT_N_CAP)
-    weights = np.empty((l, n - l + 1))
-    for i0, _, w, _ in _jd_blocks(n, l, banded=False):
-        # Rows to their mass 1/l; w lives in a buffer the next block overwrites.
-        np.multiply(w, ((1.0 / l) / w.sum(axis=1))[:, None], out=weights[i0 : i0 + w.shape[0]])
+    weights = np.zeros((l, n - l + 1))
+    for i0, jlo, w, tail in _jd_blocks(n, l):
+        # Rows to their mass; w lives in a buffer the next block overwrites.
+        scale = (1.0 / l - tail) / np.add.reduce(w, axis=1)
+        np.multiply(w, scale[:, None], out=weights[i0 : i0 + w.shape[0], jlo : jlo + w.shape[1]])
     return PredecessorJoint(n=n, l=l, weights=weights)
 
 
