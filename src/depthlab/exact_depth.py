@@ -258,7 +258,9 @@ def _jd_cells(db: np.ndarray, dc: np.ndarray, i0: int, jlo: int, w: np.ndarray) 
         f0 = q0 - 1 if q0 > jlo else q0  # a later piece starts at the column it shares
         lb, lc, span = _jd_factor_logs(db, dc, i0, rows, f0, q1)
         if span > _JD_FACTOR_SPAN and q1 - q0 > 1:
-            cuts = np.linspace(q0, q1, min(q1 - q0, math.ceil(span / _JD_FACTOR_SPAN)) + 1).astype(int)
+            # Past its trend, which each piece removes, a span grows as the width squared.
+            cuts = np.linspace(q0, q1, min(q1 - q0, math.ceil(math.sqrt(span / _JD_FACTOR_SPAN))) + 1)
+            cuts = cuts.astype(int)
             todo += zip(cuts[-2::-1].tolist(), cuts[:0:-1].tolist())
         else:
             pieces.append((q0 - f0, lb, lc))
