@@ -234,7 +234,8 @@ def _log_steps(m: int) -> np.ndarray:
     sweep to save about 2 us a call.
     """
     k = np.arange(1.0, m)
-    return np.log(k / k[::-1])
+    steps = k / k[::-1]
+    return np.log(steps, out=steps)
 
 
 def _jd_cells(db: np.ndarray, dc: np.ndarray, i0: int, jlo: int, w: np.ndarray) -> None:
@@ -511,6 +512,7 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
         # of the product are those of w: rows go to 1/l - tail here, not per cell.
         moves *= ((1.0 / l - tail) / np.add.reduce(moves, axis=1))[:, None]
         block = r_small[i0 : i0 + w.shape[0]].T @ moves
+        del moves  # freed before the next block's product is allocated, which keeps the peak down
         if grid is None:
             grid = block
         else:
