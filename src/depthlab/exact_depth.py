@@ -246,7 +246,7 @@ def _jd_cells(db: np.ndarray, dc: np.ndarray, i0: int, jlo: int, w: np.ndarray) 
     running sum of its log steps (_jd_factor_logs), so it carries none of
     the absolute rounding of a log-factorial table.  Where the two factors
     span more than _JD_FACTOR_SPAN together, the columns are cut into
-    ceil(span / _JD_FACTOR_SPAN) equal pieces, and so on until every
+    about sqrt(span / _JD_FACTOR_SPAN) equal pieces, and so on until every
     piece's span is within it.  Each piece has a frame of its own, and is
     joined to the one before it, row by row, by the ratio of their values
     at the column they share, never by absolute table values; then every
