@@ -382,27 +382,40 @@ def _validate_tol(tol: float) -> None:
 _TAIL_LOG_CUT = 45.0
 
 
-def _poisson_kernel(lam, k_max: int) -> np.ndarray:
+def _poisson_kernel(lam, k_max) -> np.ndarray:
     """e^(-lam) lam^k / k! for k = 0..k_max, along axis 0.
 
     A float lam > 0 gives a vector, an array of rates >= 0 an array with k
-    along axis 0 and the rates' shape after it.  log lam is math.log of each
-    rate, so a rate gets the same terms alone or in any array.  k log lam is
-    taken as 0 at k = 0 whatever lam is, so a rate of 0 gives the point mass
-    at 0.
+    along axis 0 and the rates' shape after it.  An array k_max, one per rate
+    of a 1-D lam, gives the ragged terms instead: each rate's k = 0..k_max in
+    turn, as one flat array.  log lam is math.log of each rate, so a rate gets
+    the same terms alone or in any array.  k log lam is taken as 0 at k = 0
+    whatever lam is, so a rate of 0 gives the point mass at 0.
     """
     rates = np.asarray(lam, dtype=np.float64)
-    logs = [math.log(r) if r > 0.0 else -math.inf for r in rates.ravel().tolist()]
+    logs = np.reshape([math.log(r) if r > 0.0 else -math.inf for r in rates.ravel().tolist()],
+                      rates.shape)
+    if np.ndim(k_max):
+        spans = k_max + 1
+        first = np.cumsum(spans) - spans  # where each rate's k = 0 term goes
+        ks = np.arange(spans.sum())
+        ks -= np.repeat(first, spans)
+        log_factorials = _log_factorials(int(k_max.max()))[ks]
+        logs, rates = np.repeat(logs, spans), np.repeat(rates, spans)
+    else:
+        ks = np.arange(k_max + 1.0).reshape((-1,) + (1,) * rates.ndim)
+        log_factorials = _log_factorials(k_max).reshape(ks.shape)
+        first = 0
     with np.errstate(invalid="ignore"):  # 0 * -inf at k = 0, overwritten below
-        x = np.multiply.outer(np.arange(k_max + 1.0), np.reshape(logs, rates.shape))
-    x -= _log_factorials(k_max).reshape((-1,) + (1,) * rates.ndim)
-    x[0] = 0.0
+        x = ks * logs
+    x -= log_factorials
+    x[first] = 0.0
     x -= rates
     return np.exp(x, out=x)
 
 
 def _poisson_ends(lam_max: np.ndarray, k_max: np.ndarray) -> np.ndarray:
-    """The last term J that _poisson_terms sums, for each largest rate and k_max."""
+    """The last term J that _poisson_terms sums, for each rate (a mixture's largest) and k_max."""
     j0 = np.maximum(k_max + 1, np.ceil(lam_max))
     steps = 2.0 * _TAIL_LOG_CUT + np.sqrt(2.0 * _TAIL_LOG_CUT * j0)
     r0 = (lam_max / (j0 + 1)).tolist()
@@ -410,50 +423,78 @@ def _poisson_ends(lam_max: np.ndarray, k_max: np.ndarray) -> np.ndarray:
     return (j0 + np.maximum(1.0, np.ceil(steps))).astype(np.int64)
 
 
-def _poisson_terms(lam, k_max, weights=None) -> tuple[np.ndarray, np.ndarray]:
+def _poisson_terms(lam, k_max) -> tuple[np.ndarray, np.ndarray]:
     """P(X = k) and P(X > k) for k = 0..k_max, with X ~ Poisson(lam).
 
     A float lam gives two vectors, an array of rates two arrays with k along
-    axis 0 and one column per rate.  ``weights``, of the rates' shape, mix
-    the rates' first axis in order: a 1-D pair is one discrete mixture and
-    gives its two vectors, a 2-D pair one mixture per column.  k_max may be
-    one per column; the arrays then run to the largest, and a column's
-    entries past its own k_max are not its law.  Each column is summed as it
-    would be alone, to its own end J.
+    axis 0 and the rates' shape after it.  k_max may be one per rate; the
+    arrays then run to the largest, and a rate's entries past its own k_max
+    are not its law.  Each rate is summed as it would be alone, to its own
+    end J.
 
     Each tail is the sum of the pmf terms from k + 1 upwards, accumulated
     smallest first.  All terms are positive, so nothing cancels and the
     relative error is that of the terms, exp() at an argument of size about
-    k log k.  From j0 = max(k_max + 1, ceil(lam)) on, lam the largest rate,
-    the terms fall by a factor of at most lam / (j0 + 1) per step and by
-    exp(-d(d+1) / (2(j0 + d))) over d steps; the sum stops at J = j0 + d,
-    with d the fewest steps that take either bound below e^-_TAIL_LOG_CUT.
-    Past J each term is at most r = lam / (J + 1) times the one before, so
-    the rest is at most the last term times r / (1 - r), and that bound is
-    added.
+    k log k.  From j0 = max(k_max + 1, ceil(lam)) on (lam the largest rate of
+    a mixture), the terms fall by a factor of at most lam / (j0 + 1) per step
+    and by exp(-d(d+1) / (2(j0 + d))) over d steps; the sum stops at
+    J = j0 + d, with d the fewest steps that take either bound below
+    e^-_TAIL_LOG_CUT.  Past J each term is at most r = lam / (J + 1) times
+    the one before, so the rest is at most the last term times r / (1 - r),
+    and that bound is added.
     """
-    rates = np.asarray(lam, dtype=np.float64)
-    mixed = weights is not None
-    shape = rates.shape[1:] if mixed else rates.shape
-    # Atoms along axis 0, columns along axis 1: unmixed, every rate is a column.
-    rates = rates.reshape(len(rates), -1) if mixed else rates.reshape(1, -1)
+    rates = np.reshape(np.asarray(lam, dtype=np.float64), -1)
     k_max = np.asarray(k_max)
-    ends = _poisson_ends(rates.max(axis=0), k_max)
+    ends = _poisson_ends(rates, k_max)
     terms = _poisson_kernel(rates, int(ends.max()))
-    # The last term of each column times r / (1 - r).
-    rest = terms[ends, :, np.arange(len(ends))].T * rates / (ends + 1 - rates)
+    # The last term of each rate times r / (1 - r).
+    rest = terms[ends, np.arange(len(ends))] * rates / (ends + 1 - rates)
     if ends.min() < len(terms) - 1:
-        terms *= np.arange(len(terms))[:, None, None] <= ends
-    if mixed:
-        weights = np.reshape(weights, rates.shape)
-        terms, rest = (terms * weights).sum(axis=1), (rest * weights).sum(axis=0)
-    else:
-        terms, rest = terms[:, 0], rest[0]
+        terms *= np.arange(len(terms))[:, None] <= ends
     # Running sums from the top, turned back round: entry k is P(X >= k).
     k_top = int(k_max.max())
     tails = np.add.accumulate(terms[::-1])[::-1][1 : k_top + 2]
     tails += rest
-    return terms[: k_top + 1].reshape(-1, *shape), tails.reshape(-1, *shape)
+    return terms[: k_top + 1].reshape(-1, *np.shape(lam)), tails.reshape(-1, *np.shape(lam))
+
+
+def _mixed_poisson_rows(sizes: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+                        tol: float = DEFAULT_TAIL_TOL) -> tuple[np.ndarray, list[float]]:
+    """The discrete branch of mixing.mixed_poisson_pmf for many measures:
+    law i mixes the next sizes[i] rates, sorted, with their weights, as
+    mixing._measure_rows returns measures.
+
+    Each law is cut at its own k_max, from the support search on its largest
+    rate, and books its own mixture tail past it; a law whose rates are all 0
+    is the point mass at 0.  One ragged kernel pass evaluates each rate on
+    k = 0..J, its law's own end as in _poisson_terms, and the weighted terms
+    go to their law in input order, so a law gets the same bits alone or
+    among others.  Pmf's invariants are checked on every row.  Returns the
+    masses on 0..max k_max (one row per law, 0 past its k_max) and tails.
+    """
+    lam_max = rates[np.cumsum(sizes) - 1]
+    point = lam_max == 0.0
+    k_max = np.zeros(len(sizes), dtype=np.int64)
+    k_max[~point] = [len(m) - 1 for m, _ in _poisson_blocks(lam_max[~point], tol)]
+    law = np.repeat(np.arange(len(sizes)), sizes)  # the law of each rate
+    ends = _poisson_ends(lam_max, k_max)[law]
+    terms = _poisson_kernel(rates, ends)
+    # Rate a's terms, flat from cell start[a] on, go to row law[a] of a (law, k) grid.
+    width, start = int(ends.max()) + 1, np.cumsum(ends + 1) - (ends + 1)
+    cell = np.repeat(law * width - start, ends + 1)
+    cell += np.arange(terms.size)
+    weighted = np.repeat(weights, ends + 1)
+    weighted *= terms
+    grid = np.bincount(cell, weighted, len(sizes) * width).reshape(len(sizes), width)
+    rest = terms[start + ends] * rates / (ends + 1 - rates) * weights
+    tails = np.add.accumulate(grid[:, ::-1], axis=1)[:, ::-1]
+    tails = tails[np.arange(len(sizes)), k_max + 1] + np.bincount(law, rest, len(sizes))
+    masses = grid[:, : k_max.max() + 1]
+    masses[np.arange(masses.shape[1]) > k_max[:, None]] = 0.0
+    masses[point, 0], tails[point] = 1.0, 0.0
+    tails = tails.tolist()
+    _check_pmf_rows(masses, tails)
+    return masses, tails
 
 
 def _poisson_blocks(lams: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -464,7 +505,7 @@ def _poisson_blocks(lams: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.n
     The tail is evaluated on blocks of 16 + 12 sqrt(lam) candidates from
     k = int(lam) upwards, and the block holding the first candidate below
     tol is returned, cut at it.  One _poisson_terms call evaluates the next
-    block of every rate still searching, each column as it would be alone,
+    block of every rate still searching, each rate as it would be alone,
     so a rate gets the same k_max in any array.  At tol >= 1e-15 the first
     block held the answer for every lambda in the tests; smaller tols may
     take further blocks.

@@ -18,9 +18,8 @@ import numpy as np
 from .distributions import (
     DEFAULT_TAIL_TOL,
     Pmf,
-    _check_pmf_rows,
     _fsum_rows,
-    _poisson_blocks,
+    _mixed_poisson_rows,
     _poisson_terms,
     _poisson_truncated,
     _validate_tol,
@@ -61,8 +60,7 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=np.float64)
         if loc.shape != w.shape or loc.ndim != 1 or loc.size == 0:
             raise ValueError("locations and weights must be matching 1-D arrays")
-        locations, weights = _measure_rows([(loc, w)])
-        loc, w = locations[0], weights[0]
+        _, loc, w = _measure_rows(np.array([loc.size]), loc, w)
         loc.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "locations", loc)
@@ -87,46 +85,36 @@ class DiscreteMeasure:
         }
 
 
-def _measure_rows(atoms: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """DiscreteMeasure's checks, sort and coalescing on many measures at once.
-
-    ``atoms`` holds one nonempty (locations, weights) pair of 1-D arrays per
-    measure.  Returns locations and weights with one measure per row, sorted
-    and coalesced, each row padded past its atoms with its largest location
-    at weight 0.  So the last column holds every row's largest location, and
-    the padding changes no sum of weights.
+def _measure_rows(sizes: np.ndarray, locations: np.ndarray,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DiscreteMeasure's checks, sort and coalescing on many measures at once,
+    given and returned as flat arrays: measure i is the next sizes[i] > 0
+    (location, weight) atoms.
     """
-    sizes = np.array([len(loc) for loc, _ in atoms])
-    real = np.arange(sizes.max()) < sizes[:, None]
-    loc = np.full(real.shape, np.inf)  # the padding sorts last
-    w = np.zeros(real.shape)
-    loc[real] = np.concatenate([a[0] for a in atoms])
-    w[real] = np.concatenate([a[1] for a in atoms])
-    if not (np.isfinite(loc[real]).all() and np.minimum.reduce(loc[real]) >= 0.0):
+    loc = np.asarray(locations, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(loc).all() and np.minimum.reduce(loc) >= 0.0):
         raise ValueError("locations must be finite and >= 0")
-    if not (np.isfinite(w).all() and np.minimum.reduce(w, axis=None) >= 0.0):
+    if not (np.isfinite(w).all() and np.minimum.reduce(w) >= 0.0):
         raise ValueError("weights must be finite and >= 0")
     # The stable sort keeps equal locations in input order, so np.add.at
     # sums their weights in input order, as merging the unsorted input with
     # np.unique's inverse would, and 0.0 + w turns a -0.0 weight into 0.0, as
     # that merge does.
-    order = np.argsort(loc, axis=1, kind="stable")
-    loc = np.take_along_axis(loc, order, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    first = real.copy()
-    first[:, 1:] &= loc[:, 1:] != loc[:, :-1]
-    slot = np.cumsum(first, axis=1) - 1  # the coalesced atom each atom joins
-    rows = np.broadcast_to(np.arange(len(atoms))[:, None], real.shape)
-    width = int(slot[:, -1].max()) + 1
-    merged = np.zeros((len(atoms), width))
-    np.add.at(merged, (rows[real], slot[real]), w[real])
-    if any(abs(s - 1.0) > 1e-12 for s in _fsum_rows(merged)):
+    measure = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((loc, measure))
+    loc, w = loc[order], w[order]
+    first = np.ones(loc.size, dtype=bool)
+    first[1:] = (loc[1:] != loc[:-1]) | (measure[1:] != measure[:-1])
+    slot = np.cumsum(first) - 1  # the coalesced atom each atom joins
+    merged = np.zeros(slot[-1] + 1)
+    np.add.at(merged, slot, w)
+    sizes = np.bincount(measure[first], minlength=len(sizes))
+    w = merged.tolist()
+    if any(abs(math.fsum(w[end - size : end]) - 1.0) > 1e-12
+           for size, end in zip(sizes.tolist(), np.cumsum(sizes).tolist())):
         raise ValueError("weights must sum to 1 within 1e-12")
-    # Sorted rows of locations >= 0 on zeros: the running maximum pads each
-    # row with its largest location.
-    locations = np.zeros_like(merged)
-    locations[rows[first], slot[first]] = loc[first]
-    return np.maximum.accumulate(locations, axis=1), merged
+    return sizes, loc[first], merged
 
 
 @dataclass(frozen=True)
@@ -213,13 +201,14 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     dominating Poisson(rate upper bound) drops below tol, as found by
     distributions._poisson_truncated.  A discrete mixture then evaluates all
     its rates up to the cut and books its own tail past it, as the one-row
-    case of _mixed_poisson_rows; the reflected mixture books the Poisson(c)
-    tail the search returned, which bounds its own because every rate is at
-    most c.
+    case of distributions._mixed_poisson_rows; the reflected mixture books
+    the Poisson(c) tail the search returned, which bounds its own because
+    every rate is at most c.
     """
     _validate_tol(tol)
     if isinstance(measure, DiscreteMeasure):
-        masses, tails = _mixed_poisson_rows(measure.locations[None], measure.weights[None], tol)
+        masses, tails = _mixed_poisson_rows(np.array([measure.locations.size]),
+                                            measure.locations, measure.weights, tol)
         return Pmf.from_masses(0, masses[0], tails[0])
 
     if measure.degenerate:
@@ -233,47 +222,25 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     return Pmf.from_masses(0, masses, float(tails_c[-1]))
 
 
-def _mixed_poisson_rows(locations: np.ndarray, weights: np.ndarray,
-                        tol: float = DEFAULT_TAIL_TOL) -> tuple[np.ndarray, list[float]]:
-    """The discrete branch of mixed_poisson_pmf for each row of measures padded
-    as _measure_rows pads them.
-
-    Each row is cut at its own k_max, from the support search on its largest
-    rate, and books its own mixture tail past it; a row whose rates are all 0
-    is the point mass at 0.  All rows share one (k, atom, law) kernel pass
-    up to the largest k_max, each law summed as it would be alone, and masses
-    past a row's k_max are set to 0.  Pmf's invariants are checked on every
-    row.  Returns the masses on 0..max k_max, one row per measure, and the
-    tails.
+def _measure_wasserstein_rows(sizes: np.ndarray, locations: np.ndarray,
+                              weights: np.ndarray) -> list[float]:
+    """measure_wasserstein for measures 0 and 1, 2 and 3, ... of the flat
+    measures that _measure_rows returns.  A pair's atoms, the first measure's
+    before the second's, are sorted stably by location into one row, the
+    second's weights negated.  Padding a row with its largest location at
+    weight 0 splits no interval of positive length and adds 0 to its sums.
     """
-    lam_max = locations[:, -1]
-    point = lam_max == 0.0
-    k_max = np.zeros(len(lam_max), dtype=np.int64)
-    k_max[~point] = [len(m) - 1 for m, _ in _poisson_blocks(lam_max[~point], tol)]
-    masses, tails = _poisson_terms(locations.T, k_max, weights.T)
-    masses, tails = masses.T, tails[k_max, np.arange(len(k_max))]
-    masses[np.arange(masses.shape[1]) > k_max[:, None]] = 0.0
-    masses[point, 0], tails[point] = 1.0, 0.0
-    tails = tails.tolist()
-    _check_pmf_rows(masses, tails)
-    return masses, tails
-
-
-def _measure_wasserstein_rows(mu_loc: np.ndarray, mu_w: np.ndarray,
-                              nu_loc: np.ndarray, nu_w: np.ndarray) -> list[float]:
-    """measure_wasserstein for each row pair of measures padded as
-    _measure_rows pads them.
-
-    A zero-weight padding atom sorts just after its row's largest real atom,
-    at the same location, so it splits no interval of positive length and
-    adds 0 to the running sum: every term is the unpadded one or an exact 0.
-    """
-    locations = np.concatenate((mu_loc, nu_loc), axis=1)
-    order = locations.argsort(axis=1, kind="stable")
-    locations = np.take_along_axis(locations, order, axis=1)
-    cdf_gap = np.take_along_axis(np.concatenate((mu_w, -nu_w), axis=1), order, axis=1)
+    measure = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((locations, measure // 2))
+    pair_sizes = sizes[0::2] + sizes[1::2]
+    real = np.arange(pair_sizes.max()) < pair_sizes[:, None]
+    loc, cdf_gap = np.zeros(real.shape), np.zeros(real.shape)
+    loc[real] = locations[order]
+    cdf_gap[real] = np.where(measure % 2, -weights, weights)[order]
+    # Sorted rows of locations >= 0 on zeros: the running maximum pads them.
+    np.maximum.accumulate(loc, axis=1, out=loc)
     np.cumsum(cdf_gap, axis=1, out=cdf_gap)
-    return _fsum_rows(abs(cdf_gap[:, :-1]) * np.diff(locations, axis=1))
+    return _fsum_rows(abs(cdf_gap[:, :-1]) * np.diff(loc, axis=1))
 
 
 def measure_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -284,5 +251,6 @@ def measure_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     the running sum of weights is F_mu - F_nu up to each atom and is constant
     until the next.  Exact for finite measures up to rounding.
     """
-    return _measure_wasserstein_rows(mu.locations[None], mu.weights[None],
-                                     nu.locations[None], nu.weights[None])[0]
+    sizes = np.array([mu.locations.size, nu.locations.size])
+    return _measure_wasserstein_rows(sizes, np.concatenate((mu.locations, nu.locations)),
+                                     np.concatenate((mu.weights, nu.weights)))[0]

@@ -18,9 +18,11 @@ from .distributions import (
     Pmf,
     _fsum_rows,
     _holds,
+    _mixed_poisson_rows,
+    _record_laws,
+    _record_support_bound,
     _total_variation_rows,
     _wasserstein_rows,
-    record_count_pmf,
     total_variation,
 )
 from .exact_depth import (
@@ -40,11 +42,7 @@ from .exact_depth import (
     move_joint_pmf,
     poisson_bound_report,
 )
-from .mixing import (
-    _measure_rows,
-    _measure_wasserstein_rows,
-    _mixed_poisson_rows,
-)
+from .mixing import _measure_rows, _measure_wasserstein_rows
 from .montecarlo import _find_recursions
 from .trees import _permutation_array
 
@@ -74,9 +72,9 @@ ROOTSPLIT_GRID = (1000,)
 ARRIVAL_GRID = (1000, 4096, 16384, 32768)
 ARRIVAL_FEW_KEYS_N = 32768
 ARRIVAL_TV = 1e-13
-# lemma4b and metrics run in chunks of trials: 32 lemma4b trials are 64 laws,
-# which keep its (k, atom, law) kernel near 0.5 MiB.
-LEMMA4B_CHUNK = 32
+# lemma4b and metrics run in chunks of trials: 64 lemma4b trials are 128
+# laws, whose ragged (k, atom) kernel takes about 0.4 MiB per array.
+LEMMA4B_CHUNK = 64
 METRICS_CHUNK = 256
 # metrics draws pmfs of 1..PMF_MAX_WIDTH masses at offsets 0..PMF_MAX_OFFSET.
 PMF_MAX_WIDTH = 24
@@ -240,34 +238,31 @@ def _lemma2(sw: _Sweep) -> Columns:
     return params, lhs, np.full(lhs.size, MIXING_VARIANCE_BOUND), _holds(lhs, MIXING_VARIANCE_BOUND)
 
 
-def _trial_chunks(trials: int, size: int) -> Iterator[range]:
-    for start in range(0, trials, size):
-        yield range(start, min(start + size, trials))
+def _normalized(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Flat runs of sizes[i] > 0 values, each divided by its own sum."""
+    return values / np.repeat(np.add.reduceat(values, np.cumsum(sizes) - sizes), sizes)
 
 
-def _measure_draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms of one random measure: 1 to 7 rates in [0, 20)."""
-    size = int(rng.integers(1, 8))
-    locations = rng.random(size) * 20.0
-    weights = rng.random(size) + 1e-3
-    weights /= weights.sum()
-    # Renormalize exactly so construction never trips the 1e-12 sum check.
-    weights[-1] = 1.0 - math.fsum(weights[:-1].tolist())
-    return locations, weights
+def _measure_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+    """count random measures as flat (sizes, locations, weights): all sizes (1 to
+    7 atoms), all rates in [0, 20), then all weights, normalized per measure."""
+    sizes = rng.integers(1, 8, size=count)
+    locations = rng.random(sizes.sum()) * 20.0
+    return sizes, locations, _normalized(rng.random(sizes.sum()) + 1e-3, sizes)
 
 
 def _lemma4b(sw: _Sweep) -> Columns:
     """W1 of the mixed Poisson laws of two random measures against W1 of the
-    measures, one chunked numpy pass: each chunk draws its trials' measures
-    in trial order, mu before nu, and puts all of them on one mixture kernel.
+    measures, one chunked numpy pass: each chunk draws its trials' measures,
+    mu before nu, in one _measure_draws call and puts them on one kernel.
     """
     lhs, rhs = [], []
-    for trials in _trial_chunks(sw.trials, LEMMA4B_CHUNK):
-        loc, w = _measure_rows([_measure_draw(sw.rng) for _ in range(2 * len(trials))])
-        masses, _ = _mixed_poisson_rows(loc, w)
+    for start in range(0, sw.trials, LEMMA4B_CHUNK):
+        measures = _measure_rows(*_measure_draws(sw.rng, 2 * min(LEMMA4B_CHUNK, sw.trials - start)))
+        masses, _ = _mixed_poisson_rows(*measures)
         # Every law has mass at 0 (rates < 20), so W1 sums from k = 1.
         lhs += _wasserstein_rows(masses[0::2], masses[1::2], 1)
-        rhs += _measure_wasserstein_rows(loc[0::2], w[0::2], loc[1::2], w[1::2])
+        rhs += _measure_wasserstein_rows(*measures)
     lhs, rhs = np.array(lhs), np.array(rhs) + 1e-8
     return {"trial": np.arange(sw.trials)}, lhs, rhs, lhs <= rhs
 
@@ -282,29 +277,26 @@ def _lemma5(sw: _Sweep) -> Columns:
     return {"N": N, "M": M, "n": n}, lhs, rhs, _holds(lhs, rhs)
 
 
-def _pmf_draw(rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """The offset and the masses of one random pmf, all masses positive."""
-    width = int(rng.integers(1, PMF_MAX_WIDTH + 1))
-    offset = int(rng.integers(0, PMF_MAX_OFFSET + 1))
-    masses = rng.random(width) + 1e-3
-    return offset, masses / masses.sum()
+def _pmf_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+    """count random pmfs as flat (offsets, widths, masses): all widths, all
+    offsets, then all masses, each positive and normalized per pmf."""
+    widths = rng.integers(1, PMF_MAX_WIDTH + 1, size=count)
+    offsets = rng.integers(0, PMF_MAX_OFFSET + 1, size=count)
+    return offsets, widths, _normalized(rng.random(widths.sum()) + 1e-3, widths)
 
 
 def _metrics(sw: _Sweep) -> Columns:
     """d_TV <= 2 d_W and |mean gap| <= d_W on pairs of random pmfs, one chunked
-    numpy pass: each chunk draws its pmfs in trial order and puts them on one
-    zero-padded grid over 0..PMF_MAX_OFFSET + PMF_MAX_WIDTH - 1.  The drawn
-    masses are positive and normalized, so every row is a valid Pmf.
+    numpy pass: each chunk draws its pmfs in one _pmf_draws call and puts
+    them on one zero-padded grid over 0..PMF_MAX_OFFSET + PMF_MAX_WIDTH - 1.
+    The drawn masses are positive and normalized, so every row is a valid Pmf.
     """
     ks = np.arange(PMF_MAX_OFFSET + PMF_MAX_WIDTH, dtype=np.float64)
     tvs, gaps, dws = [], [], []
-    for trials in _trial_chunks(sw.trials, METRICS_CHUNK):
-        draws = [_pmf_draw(sw.rng) for _ in range(2 * len(trials))]
-        offsets = np.array([offset for offset, _ in draws])
-        ends = offsets + [len(masses) for _, masses in draws]
-        grid = np.zeros((len(draws), len(ks)))
-        grid[(ks >= offsets[:, None]) & (ks < ends[:, None])] = np.concatenate(
-            [masses for _, masses in draws])
+    for start in range(0, sw.trials, METRICS_CHUNK):
+        offsets, widths, masses = _pmf_draws(sw.rng, 2 * min(METRICS_CHUNK, sw.trials - start))
+        grid = np.zeros((len(offsets), len(ks)))
+        grid[(ks >= offsets[:, None]) & (ks < (offsets + widths)[:, None])] = masses
         p, q = grid[0::2], grid[1::2]
         tvs += _total_variation_rows(p, q)
         # W1 sums from the pair's lower offset, and never over k = 0, as wasserstein does.
@@ -332,13 +324,31 @@ def _find(sw: _Sweep) -> Rows:
             yield {"n": n, "l": l}, d, 0.0, d == 0.0
 
 
+def _record_pmfs(m_max: int) -> Callable[[int], Pmf]:
+    """record_count_pmf(m) for m <= m_max, bit for bit, from one _record_laws
+    table: a column is a cumulative sum, so its entries up to m are those of
+    m's own table.  Row m keeps m's columns 0..K and books the spill of
+    column K over keys 1..m, summed in the same order."""
+    table, _ = _record_laws(m_max, slice(None))
+
+    @functools.lru_cache(maxsize=None)
+    def law(m: int) -> Pmf:
+        k = min(_record_support_bound(m), m)
+        spill = np.cumsum(table[:m, k] / np.arange(1.0, m + 1.0))[-1] if k < m else 0.0
+        return Pmf.from_masses(0, table[m, : k + 1], float(spill))
+
+    return law
+
+
 @_per_row
 def _moves(sw: _Sweep) -> Rows:
-    for n in sw.sizes(30):
+    sizes = sw.sizes(30)
+    record_pmf = _record_pmfs(max(sizes))
+    for n in sizes:
         for l in sorted({1, max(1, n // 2), n}):
             mj = move_joint_pmf(n, l, n_cap=sw.cap)
-            d_r = float(total_variation(mj.right_marginal().shifted(1), record_count_pmf(l)))
-            d_l = float(total_variation(mj.left_marginal().shifted(1), record_count_pmf(n + 1 - l)))
+            d_r = float(total_variation(mj.right_marginal().shifted(1), record_pmf(l)))
+            d_l = float(total_variation(mj.left_marginal().shifted(1), record_pmf(n + 1 - l)))
             yield {"n": n, "l": l, "check": "right"}, d_r, 1e-12, d_r <= 1e-12
             yield {"n": n, "l": l, "check": "left"}, d_l, 1e-12, d_l <= 1e-12
 

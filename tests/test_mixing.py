@@ -33,7 +33,7 @@ from depthlab.mixing import (
     measure_wasserstein,
     mixed_poisson_pmf,
 )
-from depthlab.verify import _measure_draw, run_suite
+from depthlab.verify import LEMMA4B_CHUNK, _measure_draws, run_suite
 
 
 def random_measure(rng, max_rate=20.0, max_atoms=8):
@@ -390,8 +390,12 @@ def test_measure_wasserstein_equals_scipy_stats():
         return stats.wasserstein_distance(mu.locations, nu.locations, mu.weights, nu.weights)
 
     rng = np.random.default_rng(2024)
-    pairs = [(DiscreteMeasure(*_measure_draw(rng)), DiscreteMeasure(*_measure_draw(rng)))
-             for _ in range(1000)]
+    measures = []
+    for start in range(0, 1000, LEMMA4B_CHUNK):  # drawn in the suite's chunks of trials
+        sizes, locations, weights = _measure_draws(rng, 2 * min(LEMMA4B_CHUNK, 1000 - start))
+        cuts = np.cumsum(sizes)[:-1]
+        measures += map(DiscreteMeasure, np.split(locations, cuts), np.split(weights, cuts))
+    pairs = list(zip(measures[0::2], measures[1::2]))
     pairs.append((
         DiscreteMeasure.from_atoms([(0.0, 0.25), (1.5, 0.5), (4.0, 0.25)]),
         DiscreteMeasure.from_atoms([(1.5, 0.125), (4.0, 0.625), (9.0, 0.25)]),
@@ -414,15 +418,20 @@ EDGE_MEASURES = [
 ]
 
 
-def test_measure_rows_are_discrete_measures_padded():
-    locations, weights = _measure_rows(EDGE_MEASURES)
-    assert locations.shape == weights.shape == (len(EDGE_MEASURES), 3)  # widest after coalescing
-    for (loc, w), row_loc, row_w in zip(EDGE_MEASURES, locations, weights):
+def _flat(measures):
+    """Measures given as (locations, weights) pairs, as the flat arrays of _measure_rows."""
+    return (np.array([len(loc) for loc, _ in measures]),
+            np.concatenate([loc for loc, _ in measures]), np.concatenate([w for _, w in measures]))
+
+
+def test_measure_rows_are_discrete_measures():
+    sizes, locations, weights = _measure_rows(*_flat(EDGE_MEASURES))
+    assert sizes.tolist() == [3, 1, 1, 1, 1, 1, 3]  # after coalescing
+    cuts = np.cumsum(sizes)[:-1]
+    for (loc, w), row_loc, row_w in zip(EDGE_MEASURES, np.split(locations, cuts),
+                                        np.split(weights, cuts)):
         m = DiscreteMeasure(loc, w)
-        size = len(m.locations)
-        assert np.array_equal(row_loc[:size], m.locations)
-        assert np.array_equal(row_w[:size], m.weights)
-        assert np.all(row_loc[size:] == m.locations[-1]) and not row_w[size:].any()
+        assert np.array_equal(row_loc, m.locations) and np.array_equal(row_w, m.weights)
 
 
 def test_measure_rows_reject_what_discrete_measure_rejects():
@@ -430,11 +439,11 @@ def test_measure_rows_reject_what_discrete_measure_rejects():
     for bad in ((np.array([-1.0]), np.array([1.0])), (np.array([math.inf]), np.array([1.0])),
                 (np.array([1.0, 2.0]), np.array([math.nan, 1.0])), (np.array([1.0]), np.array([0.5]))):
         with pytest.raises(ValueError):
-            _measure_rows([good, bad])
+            _measure_rows(*_flat([good, bad]))
 
 
 def test_mixture_rows_match_mixed_poisson_pmf_on_edge_measures():
-    masses, tails = _mixed_poisson_rows(*_measure_rows(EDGE_MEASURES))
+    masses, tails = _mixed_poisson_rows(*_measure_rows(*_flat(EDGE_MEASURES)))
     for (loc, w), row, tail in zip(EDGE_MEASURES, masses, tails):
         p = mixed_poisson_pmf(DiscreteMeasure(loc, w))
         k_max = np.flatnonzero(row)[-1]
@@ -447,11 +456,10 @@ def test_mixture_rows_match_mixed_poisson_pmf_on_edge_measures():
 
 
 def test_measure_wasserstein_rows_ignore_the_padding():
-    locations, weights = _measure_rows(EDGE_MEASURES)
+    # Every ordered pair of the edge measures, one after the other, in one call.
     pairs = [(i, j) for i in range(len(EDGE_MEASURES)) for j in range(len(EDGE_MEASURES))]
-    mu, nu = zip(*pairs)
-    rows = _measure_wasserstein_rows(locations[list(mu)], weights[list(mu)],
-                                     locations[list(nu)], weights[list(nu)])
+    rows = _measure_wasserstein_rows(*_measure_rows(*_flat(
+        [EDGE_MEASURES[k] for pair in pairs for k in pair])))
     measures = [DiscreteMeasure(loc, w) for loc, w in EDGE_MEASURES]
     assert rows == [measure_wasserstein(measures[i], measures[j]) for i, j in pairs]
 

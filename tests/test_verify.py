@@ -1,12 +1,13 @@
 """Verify suites: the enumerating and per-key suites run batched kernels, not per-row calls."""
 
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from depthlab.distributions import Pmf, mean_var, total_variation, wasserstein
+from depthlab.distributions import Pmf, mean_var, record_count_pmf, total_variation, wasserstein
 from depthlab.exact_depth import CapExceededError, _brute_depth_counts, _jd_blocks
 from depthlab.mixing import (
     DiscreteMeasure,
@@ -18,9 +19,13 @@ from depthlab.mixing import (
 from depthlab.verify import (
     ARRIVAL_TV,
     LEMMA4B_CHUNK,
+    METRICS_CHUNK,
+    PMF_MAX_OFFSET,
+    PMF_MAX_WIDTH,
     ROOTSPLIT_EVERY_KEY_MAX,
-    _measure_draw,
-    _pmf_draw,
+    _measure_draws,
+    _pmf_draws,
+    _record_pmfs,
     run_suite,
 )
 
@@ -89,24 +94,79 @@ def test_arrival_holds_the_grid_to_the_quadrature_at_spot_keys():
 # one library call chain per trial.
 
 
-def _lemma4b_per_trial(seed, trials):
+def _chunk_draws(draw, chunk, seed, trials):
+    """The flat draws of each chunk of a suite's trials, made as the suite makes them."""
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        mu, nu = DiscreteMeasure(*_measure_draw(rng)), DiscreteMeasure(*_measure_draw(rng))
+    for start in range(0, trials, chunk):
+        yield draw(rng, 2 * min(chunk, trials - start))
+
+
+def _split(sizes, *flat):
+    """Flat per-item runs of sizes[i] values, one tuple of runs per item."""
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(*(np.split(values, cuts) for values in flat)))
+
+
+def _drawn_measures(seed, trials):
+    return [(loc, w) for sizes, locations, weights in
+            _chunk_draws(_measure_draws, LEMMA4B_CHUNK, seed, trials)
+            for loc, w in _split(sizes, locations, weights)]
+
+
+def _drawn_pmfs(seed, trials):
+    return [(offset, masses) for offsets, widths, flat in
+            _chunk_draws(_pmf_draws, METRICS_CHUNK, seed, trials)
+            for offset, (masses,) in zip(offsets.tolist(), _split(widths, flat))]
+
+
+def _lemma4b_per_trial(seed, trials):
+    measures = [DiscreteMeasure(loc, w) for loc, w in _drawn_measures(seed, trials)]
+    for mu, nu in zip(measures[0::2], measures[1::2]):
         lhs = float(wasserstein(mixed_poisson_pmf(mu), mixed_poisson_pmf(nu)))
         rhs = measure_wasserstein(mu, nu) + 1e-8
         yield lhs, rhs, lhs <= rhs
 
 
 def _metrics_per_trial(seed, trials):
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        p, q = Pmf.from_masses(*_pmf_draw(rng)), Pmf.from_masses(*_pmf_draw(rng))
+    pmfs = [Pmf.from_masses(offset, masses) for offset, masses in _drawn_pmfs(seed, trials)]
+    for p, q in zip(pmfs[0::2], pmfs[1::2]):
         tv = float(total_variation(p, q))
         dw = float(wasserstein(p, q))
         yield tv, 2.0 * dw + 1e-10, tv <= 2.0 * dw + 1e-10
         gap = abs(mean_var(p)[0] - mean_var(q)[0])
         yield gap, dw + 1e-10, gap <= dw + 1e-10
+
+
+def test_draws_keep_their_ranges_and_give_valid_laws():
+    rng = np.random.default_rng(5)
+    sizes, locations, weights = _measure_draws(rng, 4000)
+    assert sizes.min() == 1 and sizes.max() == 7 and sizes.sum() == len(locations) == len(weights)
+    assert locations.min() >= 0.0 and locations.max() < 20.0
+    assert weights.min() > 0.0
+    for loc, w in _split(sizes, locations, weights):
+        assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-12
+        measure = DiscreteMeasure(loc, w)
+        assert np.array_equal(measure.locations, np.sort(loc))
+    offsets, widths, masses = _pmf_draws(rng, 4000)
+    assert offsets.min() == 0 and offsets.max() == PMF_MAX_OFFSET
+    assert widths.min() == 1 and widths.max() == PMF_MAX_WIDTH and widths.sum() == len(masses)
+    assert masses.min() > 0.0
+    for offset, (m,) in zip(offsets.tolist(), _split(widths, masses)):
+        p = Pmf.from_masses(offset, m)
+        assert p.offset == offset and np.array_equal(p.masses, m)
+        assert abs(math.fsum(m.tolist()) - 1.0) <= 1e-12
+
+
+def test_moves_record_table_rows_are_record_count_pmf_bitwise():
+    # 31 is the table of the default sweep (n <= 30); from m = 39 on, a row
+    # keeps fewer columns than the table and books its own spill.
+    for m_max in (31, 120):
+        law = _record_pmfs(m_max)
+        for m in range(m_max + 1):
+            row, ref = law(m), record_count_pmf(m)
+            assert row.offset == ref.offset and row.truncated_tail == ref.truncated_tail, m
+            assert row.masses.tobytes() == ref.masses.tobytes(), m
+    assert record_count_pmf(120).truncated_tail > 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -127,21 +187,18 @@ def test_batched_lemma4b_rows_match_the_per_trial_route(seed):
 def test_batched_lemma4b_laws_match_mixed_poisson_pmf(seed):
     # Each law of the suite's chunks, against the one-measure call: the same
     # support search cut and the same booked tail.
-    rng = np.random.default_rng(seed)
-    draws = [_measure_draw(rng) for _ in range(2000)]
-    for start in range(0, len(draws), 2 * LEMMA4B_CHUNK):
-        chunk = draws[start : start + 2 * LEMMA4B_CHUNK]
-        masses, tails = _mixed_poisson_rows(*_measure_rows(chunk))
-        for (loc, w), row, tail in zip(chunk, masses, tails):
+    for sizes, locations, weights in _chunk_draws(_measure_draws, LEMMA4B_CHUNK, seed, 1000):
+        masses, tails = _mixed_poisson_rows(*_measure_rows(sizes, locations, weights))
+        for (loc, w), row, tail in zip(_split(sizes, locations, weights), masses, tails):
             p = mixed_poisson_pmf(DiscreteMeasure(loc, w))
             assert p.offset == 0 and p.support_max == np.flatnonzero(row)[-1]
             assert abs(tail - p.truncated_tail) <= 1e-15 * p.truncated_tail
 
 
 def test_lemma4b_memory_stays_flat():
-    # The (k, atom, law) kernel runs on 2 * LEMMA4B_CHUNK laws at a time.
-    # Measured peaks at 1000 trials, rows included: 1.2 MiB in chunks of 32
-    # trials, 24 MiB with all 2000 laws on one kernel.
+    # The ragged (k, atom) kernel runs on 2 * LEMMA4B_CHUNK laws at a time.
+    # Measured peaks at 1000 trials, rows included: 2.2 MiB in chunks of 64
+    # trials, 29 MiB with all 2000 laws on one kernel.
     run_suite("lemma4b", trials=10)  # first-call caches are not the suite's
     tracemalloc.start()
     try:
