@@ -12,6 +12,7 @@ row order is fixed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import locale  # argparse's gettext imports it at the first parse; loaded here, that cost falls in import
 import os
@@ -59,9 +60,12 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("DEPTHLAB_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ValueError(f"DEPTHLAB_SEED must be a decimal integer, got {env!r}") from exc
+        if seed < 0:
+            raise ValueError(f"DEPTHLAB_SEED must be >= 0, got {env!r}")
+        return seed
     return 0
 
 
@@ -321,15 +325,22 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(suites: tuple[str, ...]) -> argparse.ArgumentParser:
+    """build_parser(), built again only when the suites (--suite's choices) change."""
+    return build_parser()
+
+
 def run(argv: list[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser(tuple(SUITES)).parse_args(argv)
     sink = None
     try:
         if getattr(args, "output", None):
             sink = open(args.output, "w", encoding="ascii")
         if getattr(args, "samples", None) is not None and args.samples < 1:
             raise ValueError("--samples must be >= 1")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args, sink or out or sys.stdout)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

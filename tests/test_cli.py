@@ -393,6 +393,28 @@ def test_simulate_env_seed(monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--route", "bst", "--n", "5", "--l", "3", "--samples", "10"],
+    ["verify", "--suite", "lemma4b", "--trials", "5"],
+    ["depth-plot", "--n", "5"],
+])
+def test_negative_seed_exits_2_naming_the_flag(argv, capsys):
+    code, out = run_cli(argv + ["--seed", "-1"])
+    assert code == 2 and out == ""
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--route", "find", "--n", "5", "--l", "3", "--samples", "10"],
+    ["depth-plot", "--n", "5"],
+])
+def test_negative_env_seed_exits_2_naming_the_variable(argv, monkeypatch, capsys):
+    monkeypatch.setenv("DEPTHLAB_SEED", "-3")
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "error: DEPTHLAB_SEED must be >= 0, got '-3'" in capsys.readouterr().err
+
+
 def test_simulate_requires_l_for_fixed_key_routes():
     code, _ = run_cli(["simulate", "--route", "bst", "--n", "5", "--samples", "10"])
     assert code == 2
@@ -499,6 +521,32 @@ def test_depth_plot_bad_file(tmp_path):
 def test_depth_plot_needs_source():
     code, _ = run_cli(["depth-plot"])
     assert code == 2
+
+
+def test_one_process_runs_commands_as_separate_calls_do(capsys):
+    # run() reuses one parser per process: a run after a usage error, and
+    # each command after the others, prints what a fresh process prints.
+    argvs = [
+        ["exact", "--n", "40", "--l", "9"],
+        ["exact", "--n", "40"],  # no --l: argparse exits 2
+        ["verify", "--suite", "moves", "--n-max", "6", "--all-rows"],
+        ["simulate", "--route", "bst", "--n", "30", "--l", "7", "--samples", "300", "--seed", "5"],
+    ]
+    in_process = []
+    for argv in argvs:
+        try:
+            in_process.append(run_cli(argv))
+        except SystemExit as exc:
+            in_process.append((exc.code, ""))
+    capsys.readouterr()
+    src = str(Path(depthlab.__file__).resolve().parents[1])
+    separate = []
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "depthlab.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        separate.append((done.returncode, done.stdout))
+    assert [code for code, _ in in_process] == [0, 2, 0, 0]
+    assert in_process == separate
 
 
 # ------------------------------------------------------------- run time
