@@ -10,9 +10,11 @@ booking the mass spilled past it.
 Poisson laws need only numpy and math: log k! comes from one cached table
 (Stirling's series, within 1 ulp of scipy.special.gammaln), masses from
 exp(k log lam - log k! - lam), and upper tails from those terms summed
-upwards, with a geometric bound on the remainder.  Masses and tails carry
-the relative error of exp() at a large argument, as scipy's do: they are
-within 2e-13 of scipy for lam <= 60 and within 5e-10 at lam = 1e5.
+upwards, with a geometric bound on the remainder.  One ragged kernel pass
+evaluates any set of laws, each a Poisson law or a discrete mixture.
+Masses and tails carry the relative error of exp() at a large argument, as
+scipy's do: they are within 2e-13 of scipy for lam <= 60 and within 5e-10
+at lam = 1e5.
 
 All values are immutable after construction and every operation is a pure
 function, so the module is safe to use from multiple threads.
@@ -382,30 +384,23 @@ def _validate_tol(tol: float) -> None:
 _TAIL_LOG_CUT = 45.0
 
 
-def _poisson_kernel(lam, k_max) -> np.ndarray:
-    """e^(-lam) lam^k / k! for k = 0..k_max, along axis 0.
+def _poisson_kernel(lam: np.ndarray, k_max: np.ndarray) -> np.ndarray:
+    """e^(-lam) lam^k / k! for each rate lam >= 0 of a 1-D array and its
+    k = 0..k_max, one rate after another, as one flat array.
 
-    A float lam > 0 gives a vector, an array of rates >= 0 an array with k
-    along axis 0 and the rates' shape after it.  An array k_max, one per rate
-    of a 1-D lam, gives the ragged terms instead: each rate's k = 0..k_max in
-    turn, as one flat array.  log lam is math.log of each rate, so a rate gets
-    the same terms alone or in any array.  k log lam is taken as 0 at k = 0
-    whatever lam is, so a rate of 0 gives the point mass at 0.
+    log lam is math.log of each rate, so a rate gets the same terms alone or
+    in any array.  k log lam is taken as 0 at k = 0 whatever lam is, so a
+    rate of 0 gives the point mass at 0.
     """
-    rates = np.asarray(lam, dtype=np.float64)
-    logs = np.reshape([math.log(r) if r > 0.0 else -math.inf for r in rates.ravel().tolist()],
-                      rates.shape)
-    if np.ndim(k_max):
-        spans = k_max + 1
-        first = np.cumsum(spans) - spans  # where each rate's k = 0 term goes
-        ks = np.arange(spans.sum())
-        ks -= np.repeat(first, spans)
-        log_factorials = _log_factorials(int(k_max.max()))[ks]
-        logs, rates = np.repeat(logs, spans), np.repeat(rates, spans)
-    else:
-        ks = np.arange(k_max + 1.0).reshape((-1,) + (1,) * rates.ndim)
-        log_factorials = _log_factorials(k_max).reshape(ks.shape)
-        first = 0
+    logs = np.array([math.log(r) if r > 0.0 else -math.inf for r in lam.tolist()])
+    spans = k_max + 1
+    first = np.cumsum(spans) - spans  # where each rate's k = 0 term goes
+    ks = np.arange(spans.sum())
+    ks -= np.repeat(first, spans)
+    # The repeats stay alive until x is built: freeing each one as soon as it
+    # was used left the allocator's heap larger (sweep-small peak RSS +0.5 MiB).
+    log_factorials = _log_factorials(int(k_max.max()))[ks]
+    logs, rates = np.repeat(logs, spans), np.repeat(lam, spans)
     with np.errstate(invalid="ignore"):  # 0 * -inf at k = 0, overwritten below
         x = ks * logs
     x -= log_factorials
@@ -415,7 +410,7 @@ def _poisson_kernel(lam, k_max) -> np.ndarray:
 
 
 def _poisson_ends(lam_max: np.ndarray, k_max: np.ndarray) -> np.ndarray:
-    """The last term J that _poisson_terms sums, for each rate (a mixture's largest) and k_max."""
+    """The last term J that _poisson_rows sums, for each law's largest rate and k_max."""
     j0 = np.maximum(k_max + 1, np.ceil(lam_max))
     steps = 2.0 * _TAIL_LOG_CUT + np.sqrt(2.0 * _TAIL_LOG_CUT * j0)
     r0 = (lam_max / (j0 + 1)).tolist()
@@ -423,113 +418,108 @@ def _poisson_ends(lam_max: np.ndarray, k_max: np.ndarray) -> np.ndarray:
     return (j0 + np.maximum(1.0, np.ceil(steps))).astype(np.int64)
 
 
-def _poisson_terms(lam, k_max) -> tuple[np.ndarray, np.ndarray]:
-    """P(X = k) and P(X > k) for k = 0..k_max, with X ~ Poisson(lam).
+def _poisson_rows(sizes: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+                  k_max: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(X = k) and P(X > k) for k = 0..k_max[i], where law i mixes
+    Poisson(rate) over the next sizes[i] rates, sorted, with their weights
+    (as mixing._measure_rows returns measures).  Rows run to max(k_max);
+    masses past a law's own k_max are 0.
 
-    A float lam gives two vectors, an array of rates two arrays with k along
-    axis 0 and the rates' shape after it.  k_max may be one per rate; the
-    arrays then run to the largest, and a rate's entries past its own k_max
-    are not its law.  Each rate is summed as it would be alone, to its own
-    end J.
-
-    Each tail is the sum of the pmf terms from k + 1 upwards, accumulated
-    smallest first.  All terms are positive, so nothing cancels and the
-    relative error is that of the terms, exp() at an argument of size about
-    k log k.  From j0 = max(k_max + 1, ceil(lam)) on (lam the largest rate of
-    a mixture), the terms fall by a factor of at most lam / (j0 + 1) per step
-    and by exp(-d(d+1) / (2(j0 + d))) over d steps; the sum stops at
+    One kernel pass evaluates each rate on k = 0..J, its law's own end, and
+    the weighted terms go to their law in input order, so a law gets the
+    same bits alone or among others.  Each survival is the terms from k + 1
+    to J summed smallest first: all are positive, so nothing cancels, and
+    the relative error is that of the terms, exp() at an argument of size
+    about k log k.  From j0 = max(k_max + 1, ceil(lam)) on (lam the law's
+    largest rate), the terms fall by a factor of at most lam / (j0 + 1) per
+    step and by exp(-d(d+1) / (2(j0 + d))) over d steps; the sum stops at
     J = j0 + d, with d the fewest steps that take either bound below
-    e^-_TAIL_LOG_CUT.  Past J each term is at most r = lam / (J + 1) times
+    e^-_TAIL_LOG_CUT.  Past J each term is at most r = rate / (J + 1) times
     the one before, so the rest is at most the last term times r / (1 - r),
     and that bound is added.
     """
-    rates = np.reshape(np.asarray(lam, dtype=np.float64), -1)
-    k_max = np.asarray(k_max)
-    ends = _poisson_ends(rates, k_max)
-    terms = _poisson_kernel(rates, int(ends.max()))
-    # The last term of each rate times r / (1 - r).
-    rest = terms[ends, np.arange(len(ends))] * rates / (ends + 1 - rates)
-    if ends.min() < len(terms) - 1:
-        terms *= np.arange(len(terms))[:, None] <= ends
-    # Running sums from the top, turned back round: entry k is P(X >= k).
-    k_top = int(k_max.max())
-    tails = np.add.accumulate(terms[::-1])[::-1][1 : k_top + 2]
-    tails += rest
-    return terms[: k_top + 1].reshape(-1, *np.shape(lam)), tails.reshape(-1, *np.shape(lam))
-
-
-def _mixed_poisson_rows(sizes: np.ndarray, rates: np.ndarray, weights: np.ndarray,
-                        tol: float = DEFAULT_TAIL_TOL) -> tuple[np.ndarray, list[float]]:
-    """The discrete branch of mixing.mixed_poisson_pmf for many measures:
-    law i mixes the next sizes[i] rates, sorted, with their weights, as
-    mixing._measure_rows returns measures.
-
-    Each law is cut at its own k_max, from the support search on its largest
-    rate, and books its own mixture tail past it; a law whose rates are all 0
-    is the point mass at 0.  One ragged kernel pass evaluates each rate on
-    k = 0..J, its law's own end as in _poisson_terms, and the weighted terms
-    go to their law in input order, so a law gets the same bits alone or
-    among others.  Pmf's invariants are checked on every row.  Returns the
-    masses on 0..max k_max (one row per law, 0 past its k_max) and tails.
-    """
-    lam_max = rates[np.cumsum(sizes) - 1]
-    point = lam_max == 0.0
-    k_max = np.zeros(len(sizes), dtype=np.int64)
-    k_max[~point] = [len(m) - 1 for m, _ in _poisson_blocks(lam_max[~point], tol)]
     law = np.repeat(np.arange(len(sizes)), sizes)  # the law of each rate
-    ends = _poisson_ends(lam_max, k_max)[law]
+    ends = _poisson_ends(rates[np.cumsum(sizes) - 1], k_max)[law]
     terms = _poisson_kernel(rates, ends)
     # Rate a's terms, flat from cell start[a] on, go to row law[a] of a (law, k) grid.
-    width, start = int(ends.max()) + 1, np.cumsum(ends + 1) - (ends + 1)
-    cell = np.repeat(law * width - start, ends + 1)
+    spans = ends + 1
+    width, start = int(ends.max()) + 1, np.cumsum(spans) - spans
+    cell = np.repeat(law * width - start, spans)
     cell += np.arange(terms.size)
-    weighted = np.repeat(weights, ends + 1)
+    weighted = np.repeat(weights, spans)
     weighted *= terms
     grid = np.bincount(cell, weighted, len(sizes) * width).reshape(len(sizes), width)
-    rest = terms[start + ends] * rates / (ends + 1 - rates) * weights
-    tails = np.add.accumulate(grid[:, ::-1], axis=1)[:, ::-1]
-    tails = tails[np.arange(len(sizes)), k_max + 1] + np.bincount(law, rest, len(sizes))
-    masses = grid[:, : k_max.max() + 1]
-    masses[np.arange(masses.shape[1]) > k_max[:, None]] = 0.0
-    masses[point, 0], tails[point] = 1.0, 0.0
-    tails = tails.tolist()
-    _check_pmf_rows(masses, tails)
+    rest = terms[start + ends] * rates / (spans - rates) * weights
+    top = int(k_max.max())
+    # Running sums from the top, turned back round: column k is P(X >= k).
+    tails = np.add.accumulate(grid[:, ::-1], axis=1)[:, ::-1][:, 1 : top + 2]
+    tails = tails + np.bincount(law, rest, len(sizes))[:, None]  # frees the full sums
+    masses = grid[:, : top + 1]
+    masses[np.arange(top + 1) > k_max[:, None]] = 0.0
     return masses, tails
 
 
-def _poisson_blocks(lams: np.ndarray, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each rate lam > 0: P(X = k) and P(X > k) for k = 0..k_max,
-    X ~ Poisson(lam), where k_max is the smallest k >= int(lam) with
-    P(X > k) < tol.
+def _poisson_support(lams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each rate lam > 0, the smallest k_max >= int(lam) with
+    P(X > k_max) < tol, X ~ Poisson(lam); and the rows of P(X = k) and
+    P(X > k) that _poisson_rows gave for the block it was found in, padded
+    to a common length.  Entries past a rate's k_max are not part of its
+    cut law.
 
     The tail is evaluated on blocks of 16 + 12 sqrt(lam) candidates from
-    k = int(lam) upwards, and the block holding the first candidate below
-    tol is returned, cut at it.  One _poisson_terms call evaluates the next
-    block of every rate still searching, each rate as it would be alone,
-    so a rate gets the same k_max in any array.  At tol >= 1e-15 the first
+    k = int(lam) upwards.  One _poisson_rows pass evaluates the next block of
+    every rate still searching, each rate as it would be alone, so a rate
+    gets the same k_max and rows in any array.  At tol >= 1e-15 the first
     block held the answer for every lambda in the tests; smaller tols may
     take further blocks.
     """
     k0 = lams.astype(np.int64)
     width = 16 + (12.0 * np.sqrt(lams)).astype(np.int64)
-    found = [None] * len(lams)
+    k_max = np.zeros(len(lams), dtype=np.int64)
+    blocks = []
     todo = np.arange(len(lams))
     while todo.size:
         last = k0[todo] + width[todo] - 1
-        masses, tails = _poisson_terms(lams[todo], last)
-        ks = np.arange(len(tails))[:, None]
-        below = (tails < tol) & (ks >= k0[todo]) & (ks <= last)
-        hit = below.any(axis=0)
-        for i, k_max in zip(np.flatnonzero(hit).tolist(), below.argmax(axis=0)[hit].tolist()):
-            found[todo[i]] = masses[: k_max + 1, i], tails[: k_max + 1, i]
+        ones = np.ones(todo.size, dtype=np.int64)
+        masses, tails = _poisson_rows(ones, lams[todo], ones.astype(np.float64), last)
+        ks = np.arange(tails.shape[1])
+        below = (tails < tol) & (ks >= k0[todo, None]) & (ks <= last[:, None])
+        hit = below.any(axis=1)
+        k_max[todo[hit]] = below.argmax(axis=1)[hit]
+        if not blocks and hit.all():
+            return k_max, masses, tails
+        blocks.append((todo[hit], masses[hit], tails[hit]))
         todo = todo[~hit]
         k0[todo] += width[todo]
-    return found
+    cols = max((block[1].shape[1] for block in blocks), default=0)
+    masses, tails = np.zeros((len(lams), cols)), np.zeros((len(lams), cols))
+    for rows, block_masses, block_tails in blocks:
+        masses[rows, : block_masses.shape[1]] = block_masses
+        tails[rows, : block_tails.shape[1]] = block_tails
+    return k_max, masses, tails
 
 
-def _poisson_truncated(lam: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """_poisson_blocks for the one rate lam > 0."""
-    return _poisson_blocks(np.array([float(lam)]), tol)[0]
+def _mixed_poisson_rows(sizes: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+                        tol: float = DEFAULT_TAIL_TOL) -> tuple[np.ndarray, list[float]]:
+    """The discrete branch of mixing.mixed_poisson_pmf for many measures, as
+    _poisson_rows takes them.
+
+    Each law is cut at its own k_max, from the support search on its largest
+    rate, and books its own mixture tail past it; a law whose rates are all 0
+    is the point mass at 0.  Pmf's invariants are checked on every row.
+    Returns the masses on 0..max k_max (one row per law, 0 past its k_max)
+    and tails.
+    """
+    lam_max = rates[np.cumsum(sizes) - 1]
+    point = lam_max == 0.0
+    k_max = np.zeros(len(sizes), dtype=np.int64)
+    k_max[~point] = _poisson_support(lam_max[~point], tol)[0]
+    masses, tails = _poisson_rows(sizes, rates, weights, k_max)
+    tails = tails[np.arange(len(sizes)), k_max]
+    masses[point, 0], tails[point] = 1.0, 0.0
+    tails = tails.tolist()
+    _check_pmf_rows(masses, tails)
+    return masses, tails
 
 
 def poisson_pmf(lam: float, tol: float = DEFAULT_TAIL_TOL) -> Pmf:
@@ -539,8 +529,9 @@ def poisson_pmf(lam: float, tol: float = DEFAULT_TAIL_TOL) -> Pmf:
     _validate_tol(tol)
     if lam == 0.0:
         return Pmf.delta(0)
-    masses, tails = _poisson_truncated(lam, tol)
-    return Pmf.from_masses(0, masses, float(tails[-1]))
+    k_max, masses, tails = _poisson_support(np.array([float(lam)]), tol)
+    k = int(k_max[0])
+    return Pmf.from_masses(0, masses[0, : k + 1], float(tails[0, k]))
 
 
 def _aligned_masses(p: Pmf, q: Pmf) -> tuple[np.ndarray, np.ndarray]:

@@ -357,14 +357,13 @@ def _jd_bands(n: int, l: int) -> tuple[list[int], list[int], np.ndarray]:
     right of the modes ends the walk when at its inner column ja every row
     of the block is below MASS_FLOOR and decreasing: by log-concavity each
     row then decreases from ja onwards, so the whole chunk is below the
-    floor.  That chunk is kept, and the cells beyond it are bounded by the
-    geometric tail of the chunk's last two columns.  The left side mirrors
-    the right.  The walk is run for every block at once: the first chunk
-    whose inner column passes for the block's nearest row (the last row on
-    the right, the first on the left) is checked for every row, and later
-    ones only if it fails.  A block whose modes span every column has no
-    band to find, nor does any block of a grid whose first and last blocks
-    both have none.
+    floor.  That chunk is kept, and _geometric_tail bounds the cells beyond
+    it.  The left side mirrors the right.  The walk is run for every block
+    at once: the first chunk whose inner column passes for the block's
+    nearest row (the last row on the right, the first on the left) is
+    checked for every row, and later ones only if it fails.  A block whose
+    modes span every column has no band to find, nor does any block of a
+    grid whose first and last blocks both have none.
     """
     width = n - l + 1
     blocks = -(-l // _JD_BLOCK_ROWS)
@@ -406,22 +405,28 @@ def _jd_bands(n: int, l: int) -> tuple[list[int], list[int], np.ndarray]:
     right, left = found[:k] >= 0, found[k:] >= 0
     jhi[cut[right]] = np.minimum(found[:k][right] + step[right], width)
     jlo[cut[left]] = np.maximum(found[k:][left] + 1 - step[left], 0)
-    # Past each band edge, a geometric tail at the ratio of the edge's last two columns.
+    # Past each band edge, a geometric tail at the ratio of its last two columns.
     edge = np.concatenate((jhi[cut] - 1, jlo[cut]))
     beyond = np.concatenate((width - jhi[cut], jlo[cut]))
     booked = np.flatnonzero(beyond > 0)
     if booked.size:
         r, edge = rows[booked], edge[booked, None]
-        lw = cells(r, edge)
-        log_ratio = np.minimum(lw - cells(r, edge - np.sign(stride[booked, None])), 0.0)
-        with np.errstate(divide="ignore"):
-            log_geom = log_ratio - np.log(-np.expm1(log_ratio))
         log_beyond = np.array([math.log(x) for x in beyond[booked].tolist()])
-        terms = np.exp(lw + np.minimum(log_geom, log_beyond[:, None]))
+        terms = _geometric_tail(cells(r, edge), cells(r, edge - np.sign(stride[booked, None])),
+                                log_beyond[:, None])
         # Right before left, as one row's two sides are added in this order.
         for half in (booked < k, booked >= k):
             tail[cut[booked[half] % k]] += terms[half]
     return jlo.tolist(), jhi.tolist(), tail
+
+
+def _geometric_tail(log_edge, log_prev, log_beyond):
+    """Bound on the mass past the edge of a log-concave row, from the log masses of the edge
+    and the cell before it: the geometric sum at their ratio, capped at e^log_beyond edges."""
+    log_ratio = np.minimum(log_edge - log_prev, 0.0)
+    with np.errstate(divide="ignore"):
+        log_geom = log_ratio - np.log(-np.expm1(log_ratio))
+    return np.exp(log_edge + np.minimum(log_geom, log_beyond))
 
 
 def _jd_walk(cells, rows: np.ndarray, near: np.ndarray, start: np.ndarray, stop: np.ndarray,
@@ -628,11 +633,10 @@ def _arrival_laws(a: int, u: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, n
     The binomial pmf is read in log space off the log-factorial table, on
     mean +- (_ARRIVAL_SDS sd + _ARRIVAL_SDS) at each node.  Each run of
     nodes from _window_runs shares one rectangle over the union of their
-    windows, at most twice their own cells.  A binomial pmf is
-    log-concave, so the mass past a cut edge of the rectangle is bounded by
-    the geometric tail of its last two cells, as in _jd_bands.  Each row is
-    renormalized to 1 minus that bound, which removes the rounding of the
-    log-space closed form.
+    windows, at most twice their own cells.  A binomial pmf is log-concave,
+    so _geometric_tail bounds the mass past a cut edge of the rectangle.
+    Each row is renormalized to 1 minus that bound, which removes the
+    rounding of the log-space closed form.
     """
     laws = np.empty((u.size, rec.shape[1]))
     cut = np.zeros(u.size)
@@ -652,12 +656,8 @@ def _arrival_laws(a: int, u: np.ndarray, rec: np.ndarray) -> tuple[np.ndarray, n
         lp += log_binom[jlo:jhi]
         lp += a * log_v[run, None]
         for edge, prev, beyond in ((-1, -2, a + 1 - jhi), (0, 1, jlo)):
-            if beyond == 0:
-                continue
-            log_ratio = np.minimum(lp[:, edge] - lp[:, prev], 0.0)
-            with np.errstate(divide="ignore"):
-                log_geom = log_ratio - np.log(-np.expm1(log_ratio))
-            cut[run] += np.exp(lp[:, edge] + np.minimum(log_geom, math.log(beyond)))
+            if beyond:
+                cut[run] += _geometric_tail(lp[:, edge], lp[:, prev], math.log(beyond))
         p = np.exp(lp, out=lp)
         p *= ((1.0 - cut[run]) / p.sum(axis=1))[:, None]
         laws[run] = p @ rec[jlo:jhi]

@@ -20,8 +20,8 @@ from .distributions import (
     Pmf,
     _fsum_rows,
     _mixed_poisson_rows,
-    _poisson_terms,
-    _poisson_truncated,
+    _poisson_rows,
+    _poisson_support,
     _validate_tol,
     shared_harmonic_table,
 )
@@ -199,11 +199,12 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     gives mass e^(-c/2) 2^k P(Poisson(c/2) > k) at k, and the atom at 0 adds
     e^(-c/2) to the mass at 0.  The support is cut where the tail of the
     dominating Poisson(rate upper bound) drops below tol, as found by
-    distributions._poisson_truncated.  A discrete mixture then evaluates all
+    distributions._poisson_support.  A discrete mixture then evaluates all
     its rates up to the cut and books its own tail past it, as the one-row
-    case of distributions._mixed_poisson_rows; the reflected mixture books
-    the Poisson(c) tail the search returned, which bounds its own because
-    every rate is at most c.
+    case of distributions._mixed_poisson_rows.  The reflected mixture takes
+    its Poisson(c/2) survivals from one distributions._poisson_rows pass and
+    books the Poisson(c) tail the search returned, which bounds its own
+    because every rate is at most c.
     """
     _validate_tol(tol)
     if isinstance(measure, DiscreteMeasure):
@@ -214,12 +215,12 @@ def mixed_poisson_pmf(measure: MixingMeasure, tol: float = DEFAULT_TAIL_TOL) -> 
     if measure.degenerate:
         return Pmf.delta(0)
     c = measure.c
-    tails_c = _poisson_truncated(c, tol)[1]
-    k_max = len(tails_c) - 1
-    ks = np.arange(k_max + 1)
-    masses = np.ldexp(_poisson_terms(c / 2.0, k_max)[1], ks) * math.exp(-c / 2.0)
+    k_max, _, tails_c = _poisson_support(np.array([c]), tol)
+    one = np.ones(1, dtype=np.int64)
+    tails = _poisson_rows(one, np.array([c / 2.0]), np.ones(1), k_max)[1][0]
+    masses = np.ldexp(tails, np.arange(len(tails))) * math.exp(-c / 2.0)
     masses[0] += measure.atom_at_zero
-    return Pmf.from_masses(0, masses, float(tails_c[-1]))
+    return Pmf.from_masses(0, masses, float(tails_c[0, k_max[0]]))
 
 
 def _measure_wasserstein_rows(sizes: np.ndarray, locations: np.ndarray,

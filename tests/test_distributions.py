@@ -20,9 +20,8 @@ from depthlab.distributions import (
     BoundReport,
     _HARMONIC_SERIES_MIN_K,
     Pmf,
-    _poisson_blocks,
-    _poisson_terms,
-    _poisson_truncated,
+    _poisson_rows,
+    _poisson_support,
     _record_laws,
     convolve,
     harmonic_table,
@@ -331,6 +330,19 @@ def test_poisson_values():
     assert abs(math.fsum(p.masses.tolist()) + p.truncated_tail - 1.0) < 1e-12
 
 
+def support(lam, tol):
+    """k_max of the support search for the one rate lam."""
+    return int(_poisson_support(np.array([float(lam)]), tol)[0][0])
+
+
+def one_rate_rows(rates, k_max):
+    """_poisson_rows for laws of one rate each, all cut at k_max: P(X = k) and
+    P(X > k), one row per rate."""
+    count = len(rates)
+    return _poisson_rows(np.ones(count, dtype=np.int64), np.asarray(rates, dtype=np.float64),
+                         np.ones(count), np.full(count, k_max))
+
+
 def scipy_stats_poisson_support(lam, tol):
     """Oracle: the scipy.stats inverse survival function, then a walk up to tail < tol."""
     k_max = int(stats.poisson.isf(tol, lam))
@@ -354,7 +366,7 @@ def test_poisson_pmf_equals_scipy_stats_oracle():
     for lam in (1e-9, 0.3, math.log(2), 7.5, 20.0, 500.0):
         for tol in (1e-9, 1e-12, 1e-15):
             k_max = scipy_stats_poisson_support(lam, tol)
-            assert len(_poisson_truncated(lam, tol)[0]) - 1 == k_max, (lam, tol)
+            assert support(lam, tol) == k_max, (lam, tol)
             ref = Pmf.from_masses(
                 0,
                 stats.poisson.pmf(np.arange(k_max + 1), lam),
@@ -381,8 +393,7 @@ def test_poisson_support_equals_scalar_search():
     lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 2000)).tolist(), 1e3, 1e5]
     for lam in lams:
         for tol in (1e-9, 1e-12, 1e-15):
-            k_max = len(_poisson_truncated(lam, tol)[0]) - 1
-            assert k_max == scalar_poisson_support(lam, tol), (lam, tol)
+            assert support(lam, tol) == scalar_poisson_support(lam, tol), (lam, tol)
 
 
 def test_poisson_blocks_search_each_rate_as_alone():
@@ -392,13 +403,15 @@ def test_poisson_blocks_search_each_rate_as_alone():
     rng = np.random.default_rng(12)
     lams = np.array([1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 500)), 1e3])
     for tol in (1e-9, 1e-12, 1e-15, 1e-40):
-        blocks = _poisson_blocks(lams, tol)
-        for lam, (masses, tails) in zip(lams.tolist(), blocks):
-            alone = _poisson_truncated(lam, tol)
-            assert np.array_equal(masses, alone[0]) and np.array_equal(tails, alone[1]), (lam, tol)
-            assert tails[-1] < tol and (len(tails) == int(lam) + 1 or tails[-2] >= tol), (lam, tol)
+        k_max, masses, tails = _poisson_support(lams, tol)
+        for lam, k, row_masses, row_tails in zip(lams.tolist(), k_max.tolist(), masses, tails):
+            alone = _poisson_support(np.array([lam]), tol)
+            assert alone[0][0] == k, (lam, tol)
+            row_masses, row_tails = row_masses[: k + 1], row_tails[: k + 1]
+            assert np.array_equal(row_masses, alone[1][0, : k + 1]), (lam, tol)
+            assert np.array_equal(row_tails, alone[2][0, : k + 1]), (lam, tol)
+            assert row_tails[-1] < tol and (k == int(lam) or row_tails[-2] >= tol), (lam, tol)
     width = 16 + (12.0 * np.sqrt(lams)).astype(int)
-    k_max = np.array([len(m) - 1 for m, _ in blocks])
     assert np.any(k_max - lams.astype(int) >= width)
 
 
@@ -408,16 +421,16 @@ def test_poisson_tails_match_pdtrc():
     rng = np.random.default_rng(12)
     lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 2000)).tolist(), 1e3, 1e5]
     for lam in lams:
-        k_max = len(_poisson_truncated(lam, 1e-15)[0]) - 1
+        k_max = support(lam, 1e-15)
         ks = np.arange(k_max + 1)
-        tails = _poisson_terms(lam, k_max)[1]
+        tails = one_rate_rows([lam], k_max)[1][0]
         ref = pdtrc(ks, lam)
         assert np.all(np.abs(tails - ref) <= poisson_exp_rtol(lam, ks) * ref), lam
     # One k at an array of rates, as a discrete mixture's tail.  Tails below
     # 1e-290 are left out: near the subnormal range they lose relative precision.
     rates = np.array(lams[:-2])
     for k in (0, 5, 30, 80, 200):
-        tails = _poisson_terms(rates, k)[1][-1]
+        tails = one_rate_rows(rates, k)[1][:, k]
         ref = pdtrc(k, rates)
         normal = ref >= 1e-290
         assert np.all(np.abs(tails - ref)[normal] <= (poisson_exp_rtol(rates, k) * ref)[normal]), k
@@ -425,12 +438,12 @@ def test_poisson_tails_match_pdtrc():
 
 
 def test_poisson_terms_with_a_zero_rate():
-    masses, tails = _poisson_terms(np.array([0.0, 2.0]), 6)
-    assert masses[:, 0].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
-    assert tails[:, 0].tolist() == [0.0] * 7
-    single_masses, single_tails = _poisson_terms(2.0, 6)
-    np.testing.assert_allclose(masses[:, 1], single_masses, rtol=1e-15, atol=0)
-    np.testing.assert_allclose(tails[:, 1], single_tails, rtol=1e-15, atol=0)
+    masses, tails = one_rate_rows([0.0, 2.0], 6)
+    assert masses[0].tolist() == [1.0, 0, 0, 0, 0, 0, 0]
+    assert tails[0].tolist() == [0.0] * 7
+    single_masses, single_tails = one_rate_rows([2.0], 6)
+    np.testing.assert_allclose(masses[1], single_masses[0], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(tails[1], single_tails[0], rtol=1e-15, atol=0)
 
 
 def test_import_does_not_load_scipy_stats():

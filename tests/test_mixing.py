@@ -13,7 +13,7 @@ from depthlab import distributions
 from depthlab.distributions import (
     Pmf,
     _poisson_kernel,
-    _poisson_truncated,
+    _poisson_support,
     mean_var,
     poisson_pmf,
     total_variation,
@@ -157,8 +157,15 @@ def test_reflected_exponential_moments():
 
 
 def test_mixpo_point_measure_is_poisson():
-    d = total_variation(mixed_poisson_pmf(DiscreteMeasure.point(1.0)), poisson_pmf(1.0))
-    assert float(d) < 1e-12
+    # A point measure's mixture is poisson_pmf's law bit for bit: the same
+    # support search and the same survival sums, through the discrete branch.
+    rng = np.random.default_rng(26)
+    lams = [1e-300, 1e-20, *np.exp(rng.uniform(-20.0, math.log(60.0), 500)).tolist(), 150.0, 1e3, 1e5]
+    for tol in (1e-9, 1e-12, 1e-15, 1e-40):
+        for lam in lams:
+            p, q = mixed_poisson_pmf(DiscreteMeasure.point(lam), tol), poisson_pmf(lam, tol)
+            assert p.offset == q.offset and np.array_equal(p.masses, q.masses), (lam, tol)
+            assert p.truncated_tail == q.truncated_tail, (lam, tol)
 
 
 def test_mixpo_point_zero():
@@ -197,7 +204,8 @@ def _gl_panel(c: float, a: float, b: float, k_max: int) -> np.ndarray:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     lam = mid + half * x
-    kern = _poisson_kernel(lam, k_max)
+    # The (k, node) terms, C-contiguous so that the product sums as it always has.
+    kern = np.ascontiguousarray(_poisson_kernel(lam, np.full(lam.size, k_max)).reshape(lam.size, -1).T)
     dens = 0.5 * np.exp(-(c - lam) / 2.0)
     return half * (kern @ (w * dens))
 
@@ -257,7 +265,7 @@ def test_mixpo_equals_scipy_stats_oracle():
     for measure, tol in cases:
         k_max, ref = scipy_stats_mixed_poisson_pmf(measure, tol)
         lam_max = measure.c if isinstance(measure, ReflectedExponential) else float(measure.locations[-1])
-        assert len(_poisson_truncated(lam_max, tol)[0]) - 1 == k_max, (measure, tol)
+        assert _poisson_support(np.array([lam_max]), tol)[0][0] == k_max, (measure, tol)
         p = mixed_poisson_pmf(measure, tol)
         assert p.offset == ref.offset and p.support_max == ref.support_max, (measure, tol)
         # 4 ulps of the largest part of the exp() argument k log lam - log k! - lam,
@@ -281,7 +289,7 @@ def test_mixpo_reflected_matches_mpmath():
     for n, t in ((64, 0.1), (16384, 0.5), (10**6, 0.1), (10**13, 0.5)):
         nu = limit_mixing_measure(n, t)
         p = mixed_poisson_pmf(nu, 1e-12)
-        k_max = len(_poisson_truncated(nu.c, 1e-12)[0]) - 1
+        k_max = int(_poisson_support(np.array([nu.c]), 1e-12)[0][0])
         assert p.offset == 0 and p.support_max == k_max, (n, t)
         with mp.workdps(40):
             half = mpf(nu.c) / 2
@@ -467,7 +475,8 @@ def test_measure_wasserstein_rows_ignore_the_padding():
 def test_poisson_laws_count_kernel_passes(monkeypatch):
     # The support search hands back the block it evaluated: a Poisson law
     # takes one kernel pass, the reflected mixture one more for its
-    # Poisson(c/2) tails, a discrete mixture one more for all its rates.
+    # Poisson(c/2) tails, a discrete mixture one more for all its rates, and
+    # so does a lemma4b chunk of 2 * LEMMA4B_CHUNK laws in one call.
     passes = []
 
     def counted(lam, k_max):
@@ -476,10 +485,12 @@ def test_poisson_laws_count_kernel_passes(monkeypatch):
 
     monkeypatch.setattr(distributions, "_poisson_kernel", counted)
     five_atoms = DiscreteMeasure(np.array([0.5, 2.0, 3.0, 7.5, 11.0]), np.full(5, 0.2))
+    chunk = _measure_rows(*_measure_draws(np.random.default_rng(7), 2 * LEMMA4B_CHUNK))
     for law, expected in (
         (lambda: poisson_pmf(12.3), 1),
         (lambda: mixed_poisson_pmf(limit_mixing_measure(16384, 0.5)), 2),
         (lambda: mixed_poisson_pmf(five_atoms), 2),
+        (lambda: _mixed_poisson_rows(*chunk), 2),
     ):
         passes.clear()
         law()
