@@ -486,7 +486,7 @@ def _poisson_support(lams: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
         below = (tails < tol) & (ks >= k0[todo, None]) & (ks <= last[:, None])
         hit = below.any(axis=1)
         k_max[todo[hit]] = below.argmax(axis=1)[hit]
-        if not blocks and hit.all():
+        if not blocks and hit.all():  # the usual case; the assembly below adds ~10 us a call
             return k_max, masses, tails
         blocks.append((todo[hit], masses[hit], tails[hit]))
         todo = todo[~hit]
