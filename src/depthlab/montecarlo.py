@@ -305,7 +305,8 @@ def collect_samples(
     """Draw depth samples on the named route, partitioned over streams.
 
     The per-stream quotas and the stream order are fixed, so the output is
-    identical no matter how the streams are actually scheduled.
+    identical no matter how the streams are actually scheduled.  Streams
+    past the count draw nothing, so no generator is built for them.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -313,7 +314,7 @@ def collect_samples(
         raise ValueError(f"streams must be >= 1, got {streams}")
     out: list[int] = []
     base, extra = divmod(count, streams)
-    for sid in range(streams):
+    for sid in range(min(streams, count)):
         quota = base + (1 if sid < extra else 0)
         out.extend(_draw(route, n, l, quota, RngStream(seed, sid).route_generator(route)))
     return out

@@ -1,8 +1,9 @@
 """Verification suites: the paper's inequalities and exact-vs-oracle identities
 swept over grids.  ``SUITES`` maps each name to a function that returns the
-suite's checks as columns (see ``Table``); the suites that compute one row at
-a time yield rows, which ``_per_row`` turns into columns.  ``suite_table``
-runs one suite, and ``run_suite`` returns its rows as the dicts ``verify`` prints.
+suite's checks as columns (see ``Table``); the route-agreement suites build
+theirs in ``_within``, which holds the TV between two routes' laws to a
+tolerance.  ``suite_table`` runs one suite, and ``run_suite`` returns its
+rows as the dicts ``verify`` prints.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .distributions import (
     _record_support_bound,
     _total_variation_rows,
     _wasserstein_rows,
-    total_variation,
 )
 from .exact_depth import (
     BRUTE_FORCE_CAP,
@@ -82,7 +82,6 @@ PMF_MAX_OFFSET = 5
 
 # A suite's checks, one column per param, then lhs, rhs and holds.
 Columns = tuple[dict[str, Sequence], Sequence[float], Sequence[float | None], np.ndarray]
-Rows = Iterator[tuple[dict, float, float | None, bool]]
 
 
 class Table:
@@ -133,26 +132,28 @@ class _Sweep:
         return [n for n in grid if n <= (self.n_max or grid[-1])]
 
 
-def _per_row(suite: Callable[[_Sweep], Rows]) -> Callable[[_Sweep], Columns]:
-    """The suite's (params, lhs, rhs, holds) rows, yielded one at a time, as columns."""
+def _within(tol: float, checks: Iterable[tuple[dict, Pmf | tuple, Pmf | tuple]]) -> Columns:
+    """Route agreement: the TV between the two laws of each (params, a, b) check,
+    held to tol.  A law is a Pmf or an (offset, masses) pair.  All laws go on one
+    zero-padded grid for one _total_variation_rows pass: its fsum does not depend
+    on order and padding adds exact zeros, so each row has the bits of
+    total_variation(a, b)."""
+    rows, laws = [], []
+    for params, *pair in checks:
+        rows.append(params)
+        laws += [(law.offset, law.masses) if isinstance(law, Pmf) else law for law in pair]
+    grid = np.zeros((len(laws), max((offset + len(m) for offset, m in laws), default=0)))
+    for row, (offset, masses) in zip(grid, laws):
+        row[offset : offset + len(masses)] = masses
+    lhs = np.array(_total_variation_rows(grid[0::2], grid[1::2]))
+    params = {name: [p[name] for p in rows] for name in (rows[0] if rows else ())}
+    return params, lhs, np.full(lhs.size, tol), lhs <= tol
 
-    @functools.wraps(suite)
-    def columns(sw: _Sweep) -> Columns:
-        rows = list(suite(sw))
-        params = {name: [p[name] for p, _, _, _ in rows] for name in (rows[0][0] if rows else ())}
-        lhs = [float(lhs) for _, lhs, _, _ in rows]
-        rhs = [None if rhs is None else float(rhs) for _, _, rhs, _ in rows]
-        return params, lhs, rhs, np.array([holds for _, _, _, holds in rows], dtype=bool)
 
-    return columns
-
-
-@_per_row
-def _oracle(sw: _Sweep) -> Rows:
-    for n in sw.sizes(8, cap=BRUTE_FORCE_CAP):
-        for l in range(1, n + 1):
-            d = float(total_variation(exact_depth_pmf(n, l), brute_force_depth_pmf(n, l)))
-            yield {"n": n, "l": l}, d, 1e-12, d <= 1e-12
+def _oracle(sw: _Sweep) -> Columns:
+    checks = (({"n": n, "l": l}, exact_depth_pmf(n, l, n_cap=sw.cap), brute_force_depth_pmf(n, l))
+              for n in sw.sizes(8, cap=BRUTE_FORCE_CAP) for l in range(1, n + 1))
+    return _within(1e-12, checks)
 
 
 def _recurrence_rows(sizes: Sequence[int], cap: int) -> Iterator[np.ndarray]:
@@ -191,44 +192,40 @@ def _spot_keys(n: int) -> list[int]:
     return sorted(l for l in {1, 2, math.ceil(n / 4), math.ceil(n / 2), n - 1, n} if 1 <= l <= n)
 
 
-@_per_row
-def _rootsplit(sw: _Sweep) -> Rows:
+def _rootsplit(sw: _Sweep) -> Columns:
     sizes = sorted({*sw.sizes(ROOTSPLIT_EVERY_KEY_MAX), *sw.grid_sizes(ROOTSPLIT_GRID)})
+    checks = []
     for row in _recurrence_rows(sizes, sw.cap):
         n = len(row)
         keys = range(1, n + 1) if n <= ROOTSPLIT_EVERY_KEY_MAX else _spot_keys(n)
-        for l in keys:
-            law = Pmf.from_masses(0, row[l - 1, :-1], float(row[l - 1, -1]))
-            d = float(total_variation(exact_depth_pmf(n, l, n_cap=sw.cap), law))
-            yield {"n": n, "l": l}, d, 1e-12, d <= 1e-12
+        checks += [({"n": n, "l": l}, exact_depth_pmf(n, l, n_cap=sw.cap), (0, row[l - 1, :-1]))
+                   for l in keys]
+    return _within(1e-12, checks)
 
 
-@_per_row
-def _arrival(sw: _Sweep) -> Rows:
-    for n in sw.grid_sizes(ARRIVAL_GRID):
-        for l in _spot_keys(n) if n < ARRIVAL_FEW_KEYS_N else (2, n // 2):
-            law, _ = _depth_pmf_by_arrival(n, l, n_cap=sw.cap)
-            d = float(total_variation(exact_depth_pmf(n, l, n_cap=sw.cap), law))
-            yield {"n": n, "l": l}, d, ARRIVAL_TV, d <= ARRIVAL_TV
+def _arrival(sw: _Sweep) -> Columns:
+    checks = (({"n": n, "l": l}, _depth_pmf_by_arrival(n, l, n_cap=sw.cap)[0],
+               exact_depth_pmf(n, l, n_cap=sw.cap))
+              for n in sw.grid_sizes(ARRIVAL_GRID)
+              for l in (_spot_keys(n) if n < ARRIVAL_FEW_KEYS_N else (2, n // 2)))
+    return _within(ARRIVAL_TV, checks)
 
 
-@_per_row
-def _theorem3(sw: _Sweep) -> Rows:
-    for n in sw.grid_sizes(THEOREM3_GRID):
-        for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n}):
-            rep = poisson_bound_report(n, l, n_cap=sw.cap)
-            yield {"n": n, "l": l}, rep.lhs, rep.rhs, rep.holds
+def _theorem3(sw: _Sweep) -> Columns:
+    keys = [(n, l) for n in sw.grid_sizes(THEOREM3_GRID)
+            for l in sorted({1, math.ceil(n / 4), math.ceil(n / 2), n})]
+    reports = [poisson_bound_report(n, l, n_cap=sw.cap) for n, l in keys]
+    return ({"n": [n for n, _ in keys], "l": [l for _, l in keys]}, [rep.lhs for rep in reports],
+            [rep.rhs for rep in reports], np.array([rep.holds for rep in reports], dtype=bool))
 
 
-@_per_row
-def _theorem6(sw: _Sweep) -> Rows:
-    threshold = None
-    for n in sw.grid_sizes(THEOREM6_GRID):
-        _, scaled = mixpo_distance(n, 0.5, n_cap=sw.cap)
-        params = {"n": n, "t": 0.5, "check": "d_w_scaled"}
-        yield params, scaled, threshold, threshold is None or scaled <= threshold
-        if threshold is None:
-            threshold = THEOREM6_GROWTH * scaled
+def _theorem6(sw: _Sweep) -> Columns:
+    sizes = sw.grid_sizes(THEOREM6_GRID)
+    lhs = [mixpo_distance(n, 0.5, n_cap=sw.cap)[1] for n in sizes]
+    # The first row is informational; each later one may grow THEOREM6_GROWTH past it.
+    rhs = [THEOREM6_GROWTH * lhs[0] if i else None for i in range(len(lhs))]
+    params = {"n": sizes, "t": [0.5] * len(lhs), "check": ["d_w_scaled"] * len(lhs)}
+    return params, lhs, rhs, np.array([r is None or d <= r for d, r in zip(lhs, rhs)], dtype=bool)
 
 
 def _lemma2(sw: _Sweep) -> Columns:
@@ -312,16 +309,16 @@ def _metrics(sw: _Sweep) -> Columns:
     return params, lhs, rhs, lhs <= rhs
 
 
-@_per_row
-def _find(sw: _Sweep) -> Rows:
+def _find(sw: _Sweep) -> Columns:
+    checks = []
     for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
         perms = _permutation_array(n)
         for l in range(1, n + 1):
             # counts[r]: permutations on which quickselect for l recurses r times.
             counts = np.bincount(_find_recursions(perms, l), minlength=n)
-            pmf = Pmf.from_masses(0, counts / math.factorial(n))
-            d = float(total_variation(pmf, brute_force_depth_pmf(n, l)))
-            yield {"n": n, "l": l}, d, 0.0, d == 0.0
+            checks.append(({"n": n, "l": l}, (0, counts / math.factorial(n)),
+                           brute_force_depth_pmf(n, l)))
+    return _within(0.0, checks)
 
 
 def _record_pmfs(m_max: int) -> Callable[[int], Pmf]:
@@ -340,17 +337,17 @@ def _record_pmfs(m_max: int) -> Callable[[int], Pmf]:
     return law
 
 
-@_per_row
-def _moves(sw: _Sweep) -> Rows:
+def _moves(sw: _Sweep) -> Columns:
     sizes = sw.sizes(30)
     record_pmf = _record_pmfs(max(sizes))
+    checks = []
     for n in sizes:
         for l in sorted({1, max(1, n // 2), n}):
-            mj = move_joint_pmf(n, l, n_cap=sw.cap)
-            d_r = float(total_variation(mj.right_marginal().shifted(1), record_pmf(l)))
-            d_l = float(total_variation(mj.left_marginal().shifted(1), record_pmf(n + 1 - l)))
-            yield {"n": n, "l": l, "check": "right"}, d_r, 1e-12, d_r <= 1e-12
-            yield {"n": n, "l": l, "check": "left"}, d_l, 1e-12, d_l <= 1e-12
+            grid = move_joint_pmf(n, l, n_cap=sw.cap).grid
+            checks += [({"n": n, "l": l, "check": "right"}, (1, grid.sum(axis=1)), record_pmf(l)),
+                       ({"n": n, "l": l, "check": "left"}, (1, grid.sum(axis=0)),
+                        record_pmf(n + 1 - l))]
+    return _within(1e-12, checks)
 
 
 SUITES: dict[str, Callable[[_Sweep], Columns]] = {

@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import depthlab
@@ -273,10 +274,9 @@ def test_verify_all_rows_prints_the_run_suite_rows(suite, fmt):
 
 
 def test_verify_prints_failed_and_informational_rows(monkeypatch, capsys):
-    @verify._per_row
     def _fake(sw):
-        yield {"n": 1, "check": "info"}, 0.5, None, True
-        yield {"n": 2, "check": "bound"}, 2.0, 1.0, False
+        params = {"n": [1, 2], "check": ["info", "bound"]}
+        return params, [0.5, 2.0], [None, 1.0], np.array([True, False])
 
     monkeypatch.setitem(verify.SUITES, "fake", _fake)
     info = {"suite": "fake", "params": {"n": 1, "check": "info"}, "lhs": 0.5, "rhs": None,
@@ -305,9 +305,10 @@ def test_verify_prints_failed_and_informational_rows(monkeypatch, capsys):
         ["--suite", "metrics", "--trials", "0"],
         ["--suite", "theorem6", "--n-max", "10"],
         ["--suite", "theorem3", "--n-max", "1"],
+        ["--suite", "arrival", "--n-max", "500"],
     ],
     ids=["n_negative", "n_zero", "n_max_zero", "trials_negative", "trials_zero",
-         "theorem6_empty_grid", "theorem3_empty_grid"],
+         "theorem6_empty_grid", "theorem3_empty_grid", "arrival_empty_grid"],
 )
 def test_verify_rejects_empty_or_nonsensical_selection(argv, capsys):
     code, out = run_cli(["verify", *argv])
@@ -322,6 +323,12 @@ def test_verify_find_over_enumeration_cap_exit_3(monkeypatch):
 
     monkeypatch.setattr(verify, "_permutation_array", unexpected)
     code, out = run_cli(["verify", "--suite", "find", "--n", "12"])
+    assert code == 3
+    assert out == ""
+
+
+def test_verify_oracle_honours_the_cap():
+    code, out = run_cli(["verify", "--suite", "oracle", "--n", "8", "--cap", "7"])
     assert code == 3
     assert out == ""
 

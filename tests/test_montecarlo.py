@@ -1,6 +1,7 @@
 """Sampling routes: determinism, distributional correctness, cross-validation."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -299,6 +300,13 @@ def test_collect_samples_deterministic_and_stream_partitioned():
         collect_samples("warp", 10, 5, 10, seed=0)
     with pytest.raises(ValueError):
         collect_samples("bst", 10, 5, 0, seed=0)
+
+
+def test_collect_samples_builds_no_generator_for_an_empty_stream():
+    expected = collect_samples("representation", 50, 20, 5, seed=3, streams=5)
+    t0 = time.perf_counter()
+    assert collect_samples("representation", 50, 20, 5, seed=3, streams=10**9) == expected
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_collect_samples_gives_each_stream_its_own_id():

@@ -26,6 +26,7 @@ from depthlab.verify import (
     _measure_draws,
     _pmf_draws,
     _record_pmfs,
+    _within,
     run_suite,
 )
 
@@ -56,6 +57,10 @@ def _forbid(monkeypatch, name):
         ("metrics", {}, "wasserstein"),
         ("metrics", {}, "mean_var"),
         ("lemma5", {"n_max": 20}, "hypergeometric_log_bound_report"),
+        ("oracle", {}, "total_variation"),
+        ("find", {}, "total_variation"),
+        ("moves", {}, "total_variation"),
+        ("rootsplit", {"n_max": 20}, "total_variation"),
     ],
 )
 def test_suite_makes_no_per_row_call(monkeypatch, suite, kwargs, per_row):
@@ -63,6 +68,25 @@ def test_suite_makes_no_per_row_call(monkeypatch, suite, kwargs, per_row):
     _forbid(monkeypatch, per_row)
     rows = run_suite(suite, **kwargs)
     assert rows and all(r["holds"] for r in rows)
+
+
+def test_within_has_the_bits_of_total_variation_pair_by_pair():
+    # Random laws at offsets 0..5 of widths 1..24 and one-cell laws, half of
+    # them passed as (offset, masses) pairs.
+    rng = np.random.default_rng(27)
+    offsets, widths, masses = _pmf_draws(rng, 400)
+    pmfs = [Pmf(int(o), m) for o, m in zip(offsets, np.split(masses, np.cumsum(widths)[:-1]))]
+    pmfs += [Pmf.delta(k) for k in range(PMF_MAX_OFFSET + 1)] * 2
+    pmfs = [pmfs[i] for i in rng.permutation(len(pmfs))]
+    as_pair = rng.random(len(pmfs)) < 0.5
+    laws = [(p.offset, p.masses) if pair else p for p, pair in zip(pmfs, as_pair)]
+    checks = [({"pair": i}, a, b) for i, (a, b) in enumerate(zip(laws[0::2], laws[1::2]))]
+    params, lhs, rhs, holds = _within(0.5, checks)
+    assert params["pair"] == list(range(len(checks)))
+    assert list(lhs) == [float(total_variation(p, q)) for p, q in zip(pmfs[0::2], pmfs[1::2])]
+    assert np.array_equal(rhs, np.full(len(checks), 0.5)) and np.array_equal(holds, lhs <= 0.5)
+    params, lhs, rhs, holds = _within(1e-12, [])
+    assert params == {} and len(lhs) == len(rhs) == len(holds) == 0
 
 
 def test_rootsplit_reaches_a_band_cut_block():
