@@ -200,6 +200,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
+    if args.route != "key" and args.l is None:
+        raise ValueError(f"simulate --route {args.route} needs --l")
     seed = _resolve_seed(args)
     samples = collect_samples(
         args.route, args.n, args.l, args.samples, seed=seed, streams=args.streams

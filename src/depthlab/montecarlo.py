@@ -11,15 +11,14 @@ Each stream's quota is drawn in numpy chunks of about _CHUNK_CELLS array
 cells, a few MiB at any n: _CHUNK_CELLS // n rows of arrival keys on bst and
 find, _CHUNK_CELLS // 16 draws on representation and key; single-sample
 functions draw a chunk of one.  A row gives each value 1..n an i.i.d.
-uniform 64-bit arrival key; bst reads the keys directly, and find sorts them
-into a permutation.  Batching changed the draw sequences once, and the
-arrival keys, which replaced a shuffle per row, changed every bst and find
-sample again.  A stream, identified by (seed, stream_id), always replays the
-same draws, so collect_samples is a pure function of (route, n, l, count,
-seed, streams); a parallel run gives each worker one stream and reduces in
-stream order.  find's generator is keyed apart from the other routes' (see
-RngStream.route_generator), so it never sorts the keys bst reads on the same
-stream, in collect_samples or in a single-sample call.
+uniform 64-bit arrival key; bst reads the keys directly, and find reads
+window minima of them with each value's index in their low bits.  A stream,
+identified by (seed, stream_id), always replays the same draws, so
+collect_samples is a pure function of (route, n, l, count, seed, streams);
+a parallel run gives each worker one stream and reduces in stream order.
+find's generator is keyed apart from the other routes' (see
+RngStream.route_generator), so it never reads the keys bst reads on the
+same stream, in collect_samples or in a single-sample call.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ class RngStream:
     def route_generator(self, route: str) -> np.random.Generator:
         """The stream's generator for the named route, built at its first use.
 
-        find sorts the very arrival keys that bst reads, so on one stream the
+        find reads the very arrival keys that bst reads, so on one stream the
         two routes would give equal samples: find's generator takes one more
         spawn-key word, (stream_id, 1), and the other routes share ``generator``.
         """
@@ -94,50 +93,33 @@ def _arrival_keys(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
     return gen.integers(0, 2**64 - 1, size=(rows, n), dtype=np.uint64, endpoint=True)
 
 
-def _sorted_index_keys(n: int, rows: int, gen: np.random.Generator, b: int) -> np.ndarray:
-    """Arrival keys with each value's index in the low b bits, sorted per row."""
+def _index_bits(n: int) -> int:
+    """b = max(1, bit_length(n - 1)): the low key bits that hold an index 0..n - 1."""
+    return max(1, (n - 1).bit_length())
+
+
+def _index_keys(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """Arrival keys with each value's index v - 1 in their low b = _index_bits(n) bits.
+
+    A row departs from the exact law only if two of its keys tie in their high
+    64 - b bits (the lower value then arrives first): probability at most
+    C(n, 2) / 2**(64 - b), 2.8e-11 at n = 1000 and 9.5e-7 at DEFAULT_N_CAP.
+    """
     keys = _arrival_keys(n, rows, gen)
-    keys &= np.uint64(2**64 - (1 << b))
+    keys &= np.uint64(2**64 - (1 << _index_bits(n)))
     keys |= np.arange(n, dtype=np.uint64)
-    keys.sort(axis=1)
     return keys
 
 
-def _tied_rows(keys: np.ndarray, b: int) -> np.ndarray:
-    """Indices of the sorted rows in which two keys share their high 64 - b bits.
-
-    Only rows whose top 32-bit words tie can hold such a pair, as b <= 32
-    (a row past n = 2**32 would take 32 GiB); the shift runs on those alone.
-    """
-    top = keys.view(np.uint32)[:, int(np.little_endian) :: 2]
-    rows = np.flatnonzero((top[:, 1:] == top[:, :-1]).any(axis=1))
-    if rows.size:
-        high = keys[rows] >> np.uint64(b)
-        rows = rows[(high[:, 1:] == high[:, :-1]).any(axis=1)]
-    return rows
-
-
-def _permutation_rows(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """rows independent, exactly uniform permutations of 1..n, one per row.
-
-    Value v's index v - 1 goes into the low b = max(1, bit_length(n - 1))
-    bits of its arrival key, so one in-place sort orders the values by the
-    keys' high 64 - b bits and the low bits read the permutation off.  A row
-    in which two high parts tie is redrawn whole: i.i.d. keys with no tie are
-    ordered uniformly, so every row returned is an exactly uniform
-    permutation.  Sorting the keys in place is several times as fast as an
-    argsort on x86 with AVX-512, where numpy sorts 64-bit integers with SIMD.
-    """
-    b = max(1, (n - 1).bit_length())
-    keys = _sorted_index_keys(n, rows, gen, b)
-    tied = _tied_rows(keys, b)
-    while tied.size:
-        keys[tied] = _sorted_index_keys(n, tied.size, gen, b)
-        tied = tied[_tied_rows(keys[tied], b)]
-    keys &= np.uint64((1 << b) - 1)
-    perms = keys.astype(np.min_scalar_type(n))
-    perms += 1
-    return perms
+def _time_keys(times: np.ndarray) -> np.ndarray:
+    """Index keys, in the narrowest unsigned dtype, for distinct arrival times
+    times[:, v - 1] >= 0: each time shifted up by _index_bits(n), v - 1 below."""
+    n = times.shape[1]
+    b = _index_bits(n)
+    keys = times.astype(np.min_scalar_type(int(times.max()) << b | (n - 1)))
+    keys <<= b
+    keys |= np.arange(n, dtype=keys.dtype)
+    return keys
 
 
 def _bst_depths(keys: np.ndarray, l: int) -> np.ndarray:
@@ -163,33 +145,45 @@ def _bst_depths(keys: np.ndarray, l: int) -> np.ndarray:
     return depths
 
 
-def _find_recursions(perms: np.ndarray, l: int) -> np.ndarray:
+def _find_recursions(keys: np.ndarray, l: int) -> np.ndarray:
     """Quickselect recursion count at rank l for every row at once.
 
-    Each row is a permutation of 1..n, so rank l is the value l and a row's
-    current sublist is always its values in [lo, hi], in arrival order.
-    Each level marks those values in the full row, takes the first as pivot,
-    stops the row when the pivot is l, and otherwise moves lo or hi past the
-    pivot; no row is compacted.  This simulates partitioning: it builds no
-    inverse permutation and no running minima, so it checks the bst route's
-    ancestor rule rather than repeating it.
+    keys[:, v - 1] is value v's arrival key with v - 1 in its low
+    _index_bits(n) bits, in any unsigned dtype.  The sublist of values in
+    [lo, hi) keeps arrival order, so its pivot is the low bits of the least
+    key in that window of the row.  Each level reduces every live row's
+    window in one reduceat, cut at the last window's end (so that end index
+    is dropped), stops the rows whose pivot is l and moves lo or hi past the
+    pivot.  The reduceat also reads the cells between windows: once the
+    windows fill less than an eighth of that span, they are copied out.
+    Windows are taken top-down, with no running minima, so this checks the
+    bst route's ancestor rule rather than repeating it.
     """
-    rows, n = perms.shape
+    rows, n = keys.shape
+    mask = keys.dtype.type((1 << _index_bits(n)) - 1)
+    flat = keys.reshape(-1)
     out = np.empty(rows, dtype=np.int64)
     todo = np.arange(rows)
-    lo = np.ones((rows, 1), dtype=perms.dtype)
-    hi = np.full((rows, 1), n, dtype=perms.dtype)
+    at = todo * n  # flat position of each live row's column 0
+    lo, hi = np.zeros(rows, dtype=np.intp), np.full(rows, n, dtype=np.intp)
     for recursions in range(n):  # each level drops at least its pivot
         if not todo.size:
             break
-        alive = (perms >= lo) & (perms <= hi)
-        pivot = perms[np.arange(todo.size), alive.argmax(axis=1)][:, None]
-        hit = pivot[:, 0] == l
-        out[todo[hit]] = recursions
-        keep = ~hit
-        todo, perms, lo, hi, pivot = (a[keep] for a in (todo, perms, lo, hi, pivot))
-        lower = pivot > l
-        hi = np.where(lower, pivot - 1, hi)
+        width = hi - lo
+        if 8 * width.sum() < at[-1] + hi[-1] - at[0] - lo[0]:
+            start = np.cumsum(width) - width
+            flat = flat[np.repeat(at + lo - start, width) + np.arange(start[-1] + width[-1])]
+            at = start - lo
+        window = np.empty(2 * todo.size, dtype=np.intp)
+        window[0::2], window[1::2] = at + lo, at + hi
+        pivot = (np.minimum.reduceat(flat[: window[-1]], window[:-1])[::2] & mask).astype(np.intp)
+        hit = pivot == l - 1
+        if hit.any():
+            out[todo[hit]] = recursions
+            keep = ~hit
+            todo, at, lo, hi, pivot = (a[keep] for a in (todo, at, lo, hi, pivot))
+        lower = pivot > l - 1
+        hi = np.where(lower, pivot, hi)
         lo = np.where(lower, lo, pivot + 1)
     return out
 
@@ -237,7 +231,7 @@ def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generato
         if route == "bst":
             batch = _bst_depths(_arrival_keys(n, rows, gen), l)
         elif route == "find":
-            batch = _find_recursions(_permutation_rows(n, rows, gen), l)
+            batch = _find_recursions(_index_keys(n, rows, gen), l)
         else:
             keys = np.full(rows, l) if route == "representation" else gen.integers(1, n + 1, rows)
             batch = _representation_depths(n, keys, gen)

@@ -43,7 +43,7 @@ from .exact_depth import (
     poisson_bound_report,
 )
 from .mixing import _measure_rows, _measure_wasserstein_rows
-from .montecarlo import _find_recursions
+from .montecarlo import _find_recursions, _time_keys
 from .trees import _permutation_array
 
 __all__ = ["SUITES", "Table", "run_suite", "suite_table"]
@@ -312,10 +312,11 @@ def _metrics(sw: _Sweep) -> Columns:
 def _find(sw: _Sweep) -> Columns:
     checks = []
     for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
-        perms = _permutation_array(n)
+        # Row r gives value v arrival time r[v - 1]; the rows are closed under inversion.
+        keys = _time_keys(_permutation_array(n))
         for l in range(1, n + 1):
-            # counts[r]: permutations on which quickselect for l recurses r times.
-            counts = np.bincount(_find_recursions(perms, l), minlength=n)
+            # counts[r]: arrival orders on which quickselect for l recurses r times.
+            counts = np.bincount(_find_recursions(keys, l), minlength=n)
             checks.append(({"n": n, "l": l}, (0, counts / math.factorial(n)),
                            brute_force_depth_pmf(n, l)))
     return _within(0.0, checks)
@@ -339,7 +340,9 @@ def _record_pmfs(m_max: int) -> Callable[[int], Pmf]:
 
 def _moves(sw: _Sweep) -> Columns:
     sizes = sw.sizes(30)
-    record_pmf = _record_pmfs(max(sizes))
+    if sizes[-1] > sw.cap:  # move_joint_pmf's error at the first n past the cap, before any table
+        raise CapExceededError("exact depth computation", max(sizes[0], sw.cap + 1), sw.cap)
+    record_pmf = _record_pmfs(sizes[-1])
     checks = []
     for n in sizes:
         for l in sorted({1, max(1, n // 2), n}):

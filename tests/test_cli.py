@@ -333,6 +333,18 @@ def test_verify_oracle_honours_the_cap():
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [["--n-max", "50000"], ["--n", "12"]], ids=["sweep", "one_n"])
+def test_verify_moves_checks_the_cap_before_its_record_table(monkeypatch, capsys, argv):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("built the record table past the cap")
+
+    monkeypatch.setattr(verify, "_record_pmfs", unexpected)
+    code, out = run_cli(["verify", "--suite", "moves", *argv, "--cap", "10"])
+    assert code == 3 and out == ""
+    first = 11 if argv[0] == "--n-max" else 12
+    assert capsys.readouterr().err == f"error: exact depth computation: n={first} exceeds the cap 10\n"
+
+
 @pytest.mark.parametrize("suite", ["moments", "rootsplit"])
 def test_verify_recurrence_suites_check_the_cap_first(monkeypatch, suite):
     def unexpected(*args, **kwargs):
@@ -422,9 +434,11 @@ def test_negative_env_seed_exits_2_naming_the_variable(argv, monkeypatch, capsys
     assert "error: DEPTHLAB_SEED must be >= 0, got '-3'" in capsys.readouterr().err
 
 
-def test_simulate_requires_l_for_fixed_key_routes():
-    code, _ = run_cli(["simulate", "--route", "bst", "--n", "5", "--samples", "10"])
-    assert code == 2
+def test_simulate_requires_l_for_fixed_key_routes(capsys):
+    for route in ("bst", "find", "representation"):
+        code, out = run_cli(["simulate", "--route", route, "--n", "5", "--samples", "10"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: simulate --route {route} needs --l\n"
 
 
 def test_simulate_unknown_route_usage():
@@ -445,7 +459,7 @@ def test_simulate_raw_samples():
 
 
 def test_simulate_bst_and_find_draw_apart_on_one_seed():
-    # find sorts the arrival keys that bst reads: on a shared stream the two
+    # find reads the arrival keys that bst reads: on a shared stream the two
     # routes would print the same samples.
     argv = ["simulate", "--n", "200", "--l", "77", "--samples", "5000", "--seed", "4", "--raw"]
     outs = {route: run_cli(argv + ["--route", route]) for route in ("bst", "find")}

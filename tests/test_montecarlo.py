@@ -18,7 +18,7 @@ from depthlab.montecarlo import (
     _bst_depths,
     _draw,
     _find_recursions,
-    _permutation_rows,
+    _index_keys,
     _predecessor_split,
     _record_counts,
     collect_samples,
@@ -91,15 +91,16 @@ def test_hypergeometric_sampler_pmf_and_chi_square():
 def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
     # The bst route on a chunk of arrival keys equals a full tree build on the
     # permutation that orders the values by key (built here by argsort), and
-    # the find route equals scalar quickselect on every permutation row.
+    # the find route on index keys equals scalar quickselect on that order.
     for n, l in ((1, 1), (2, 1), (2, 2), (7, 1), (7, 4), (7, 7), (60, 1), (60, 23), (60, 60)):
         keys = _arrival_keys(n, 300, RngStream(seed=100 * n + l).generator)
         rows = [Permutation.from_iterable(row) for row in np.argsort(keys, axis=1) + 1]
         depths = [node_depth(build_bst(p), l) for p in rows]
         assert _bst_depths(keys, l).tolist() == depths, (n, l)
-        perms = _permutation_rows(n, 300, RngStream(seed=100 * n + l).generator)
+        keys = _index_keys(n, 300, RngStream(seed=100 * n + l).generator)
+        perms = np.argsort(keys, axis=1) + 1
         recursions = [find_select(Permutation.from_iterable(row), l).recursions for row in perms]
-        assert _find_recursions(perms, l).tolist() == recursions, (n, l)
+        assert _find_recursions(keys, l).tolist() == recursions, (n, l)
     # On every row of a full chunk, the bst route equals the depth that the
     # literal insertion loop gives, at both extreme keys and at n = 1.
     for n, l in ((1000, 1), (1000, 500), (1000, 1000), (500, 250), (7, 3), (1, 1)):
@@ -107,73 +108,70 @@ def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
         depths = [_insert_keys(row.tolist(), stop=l)[2][l] for row in np.argsort(keys, axis=1) + 1]
         assert _bst_depths(keys, l).tolist() == depths, (n, l)
     # The find route equals scalar quickselect on every row of a full chunk,
-    # and on both sides of the uint8/uint16 and uint16/uint32 edges of the
-    # row dtype, np.min_scalar_type(n); a chunk at the wide edge is 4 rows.
-    edges = [(n, l) for n in (255, 256, 65535, 65536) for l in (1, n)]
+    # and on both sides of the 8/9 and 16/17 edges of the packed index width
+    # b = bit_length(n - 1); a chunk at the wide edge is 3 or 4 rows.
+    edges = [(n, l) for n in (256, 257, 65536, 65537) for l in (1, n)]
     for n, l in [(1000, 1), (1000, 500), (1000, 1000)] + edges:
-        perms = _permutation_rows(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
-        assert perms.dtype == np.min_scalar_type(n), (n, perms.dtype)
+        keys = _index_keys(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
+        perms = np.argsort(keys, axis=1) + 1
         recursions = [find_select(Permutation(tuple(row.tolist())), l).recursions for row in perms]
-        assert _find_recursions(perms, l).tolist() == recursions, (n, l, perms.dtype)
+        assert _find_recursions(keys, l).tolist() == recursions, (n, l)
 
 
-def test_permutation_rows_are_uniform_at_n4():
-    # 120000 rows at n = 4: all 24 orders appear and their counts pass a
-    # chi-square test against the uniform law at significance 1e-3.
-    perms = _permutation_rows(4, 120_000, RngStream(seed=2024).generator)
-    assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(1, 5), (120_000, 1)))
-    codes = (perms.astype(np.int64) - 1) @ (4 ** np.arange(4))
+def test_index_keys_order_values_uniformly_at_n4():
+    # 120000 rows at n = 4: each row holds the indices 0..3 in its low bits
+    # under the high bits of its arrival keys, all 24 orders that the keys
+    # induce appear, and their counts pass a chi-square test against the
+    # uniform law at significance 1e-3.
+    keys = _index_keys(4, 120_000, RngStream(seed=2024).generator)
+    arrivals = _arrival_keys(4, 120_000, RngStream(seed=2024).generator)
+    assert np.array_equal(keys & np.uint64(3), np.tile(np.arange(4, dtype=np.uint64), (120_000, 1)))
+    assert np.array_equal(keys >> np.uint64(2), arrivals >> np.uint64(2))
+    codes = np.argsort(keys, axis=1) @ (4 ** np.arange(4))
     counts = np.unique(codes, return_counts=True)[1]
     assert counts.size == 24
     assert stats.chisquare(counts).pvalue > 1e-3
 
 
-def test_permutation_rows_follow_the_keys_and_redraw_tied_rows():
-    # With no tie, a row orders the values as its arrival keys do.
-    n, rows, seed = 50, 400, 77
-    keys = _arrival_keys(n, rows, RngStream(seed).generator)
-    perms = _permutation_rows(n, rows, RngStream(seed).generator)
-    assert np.array_equal(perms, np.argsort(keys, axis=1) + 1)
-
-    # Rows 1 and 7 of the first draw each get two keys with equal high parts,
-    # and so does row 7's redraw, so row 7 is kept from a third draw.  Row 2
-    # gets two keys whose top 32-bit words tie but whose high parts differ in
-    # bit b, so it passes the full check and is kept.
+def test_find_kernel_takes_the_lower_value_on_a_tie():
+    # Row 0 gives values 2 and 5 the two least keys, equal in their high
+    # 64 - b bits: value 2 arrives first and is the first pivot, then 5 is
+    # the least key in [3, 6].  Row 1 ties values 5 and 2 the other way
+    # round, and still 2 comes first; no row is redrawn.
     n, b = 6, 3
 
     class TiedDraws:
         def __init__(self, gen):
-            self.gen, self.draws = gen, []
+            self.gen = gen
 
         def integers(self, *args, **kwargs):
             out = self.gen.integers(*args, **kwargs)
-            if len(self.draws) < 2:
-                out[-1, 3] = out[-1, 0] ^ np.uint64(1)
-            if not self.draws:
-                out[1, 3] = out[1, 0] ^ np.uint64(1)
-                out[2, 4] = out[2, 0] ^ np.uint64(1 << b)
-            self.draws.append(out.copy())
+            out[:, [1, 4]] = [[5, 3], [3, 5]]
             return out
 
-    gen = TiedDraws(RngStream(seed=5).generator)
-    perms = _permutation_rows(n, 8, gen)
-    assert [d.shape for d in gen.draws] == [(8, n), (2, n), (1, n)]
-    expected = np.argsort(gen.draws[0], axis=1) + 1
-    expected[1] = np.argsort(gen.draws[1][0]) + 1
-    expected[7] = np.argsort(gen.draws[2][0]) + 1
-    assert np.array_equal(perms, expected)
-    assert np.array_equal(np.sort(perms, axis=1), np.tile(np.arange(1, n + 1), (8, 1)))
+    keys = _index_keys(n, 2, TiedDraws(RngStream(seed=5).generator))
+    assert keys[:, [1, 4]].tolist() == [[1, 4], [1, 4]]
+    assert (keys >> np.uint64(b)).min(axis=1).tolist() == [0, 0]
+    assert _find_recursions(keys, 2).tolist() == [0, 0]
+    assert _find_recursions(keys, 5).tolist() == [1, 1]
+    # Every key agrees with scalar quickselect on the order that puts the
+    # lower value first among tied keys.
+    for l in range(1, n + 1):
+        recursions = [find_select(Permutation.from_iterable(np.argsort(row) + 1), l).recursions
+                      for row in keys]
+        assert _find_recursions(keys, l).tolist() == recursions, l
 
 
 def test_find_kernel_peak_memory_on_full_chunk():
-    # The partition kernel at n = 1000, l = 500 on one full chunk (262 rows,
-    # uint16) peaks at no more than the mask-compacting kernel it replaced:
-    # 2_116_143 bytes under tracemalloc with numpy 2.4.6 (about 1.58e6 now).
-    # Guards peak RSS of the find route.
-    perms = _permutation_rows(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
+    # The window-minimum kernel at n = 1000, l = 500 on one full chunk of
+    # index keys (262 rows) peaks at no more than the mask-compacting kernel
+    # that came before the sorted-row one: 2_116_143 bytes under tracemalloc
+    # with numpy 2.4.6 (about 0.69e6 now, nearly all of it the windows
+    # copied out).  Guards peak RSS of the find route.
+    keys = _index_keys(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
     tracemalloc.start()
     try:
-        _find_recursions(perms, 500)
+        _find_recursions(keys, 500)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -323,7 +321,7 @@ def test_collect_samples_gives_each_stream_its_own_id():
 
 
 def test_single_sample_bst_and_find_draw_apart():
-    # find sorts the arrival keys that bst reads: on one generator the two
+    # find reads the arrival keys that bst reads: on one generator the two
     # routes would return the same depths call for call.
     def draws(sample):
         rng = RngStream(4)
@@ -339,8 +337,8 @@ def test_route_agreement_full_fidelity():
     # each stays under 0.015 and each route stays within 0.01 of the exact
     # law.  The (100, 37) point runs in the acceptance suite; this covers the
     # extreme-key and larger-n points.  Most of its time is the bst and find
-    # routes at n = 500; find takes about twice as long as bst, and about
-    # half of it is drawing and sorting the arrival keys.
+    # routes at n = 500; find, which reads window minima of its arrival keys
+    # level by level, takes about 1.3 times as long as bst.
     for n, l in ((50, 1), (500, 250)):
         exact = exact_depth_pmf(n, l)
         emps = {

@@ -193,6 +193,19 @@ def test_moves_record_table_rows_are_record_count_pmf_bitwise():
     assert record_count_pmf(120).truncated_tail > 0.0
 
 
+def test_moves_past_the_cap_raises_before_any_table():
+    # The record table for n_max = 50000 would take about 23 MiB; the cap
+    # error names the first n past the cap and comes before any table.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="^exact depth computation: n=11 exceeds the cap 10$"):
+            run_suite("moves", n_max=50000, cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batched_metrics_rows_equal_the_per_trial_route(seed):
     rows = run_suite("metrics", seed=seed, trials=1000)
