@@ -114,15 +114,17 @@ def cmd_approx(args, out) -> int:
         l = rank_to_key(args.n, args.t)
     else:
         l = args.l
+    if args.n >= 2:
+        # One law serves both reports; with --t, l is the mixpo key.  It is
+        # the arrival-time quadrature, whose error is estimated, not bounded.
+        # Built before the harmonic tables of the moments, so --cap fails first.
+        law, estimate = _depth_pmf_by_arrival(args.n, l, n_cap=args.cap)
     doc: dict[str, Any] = {
         "meta": _meta("approx", n=args.n, l=l),
         "mean": depth_mean(args.n, l),
         "variance": depth_variance(args.n, l),
     }
     if args.n >= 2:
-        # One law serves both reports; with --t, l is the mixpo key.  It is
-        # the arrival-time quadrature, whose error is estimated, not bounded.
-        law, estimate = _depth_pmf_by_arrival(args.n, l, n_cap=args.cap)
         doc["law_route"] = ARRIVAL_ROUTE
         doc["law_error_estimate"] = estimate
         rep = _poisson_bound_of(law, args.n, l)

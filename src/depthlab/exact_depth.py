@@ -500,17 +500,12 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
     joint grid keeps only one block's band alive at a time.  The reduction
     order over blocks is fixed, so results are reproducible.  The returned
     tail is the booked bound on dropped mass: the grid cells outside the
-    bands, plus the record-law tails t_m cut off the record matrix, which
-    lose at most sum_i t_i / l + sum_j t_j / (n-l+1) of the product.
+    bands, plus the record spills that _exact_records books.
     """
-    _validate_nl(n, l)
-    if n > n_cap:
-        raise CapExceededError("exact depth computation", n, n_cap)
-    rec, rec_tails = _record_matrix(max(l - 1, n - l))
+    rec, booked = _exact_records(n, l, n_cap)
     r_small = rec[:l]
     r_large = rec[: n - l + 1]
     grid = None
-    booked = _record_spills(n, l, rec_tails)
     for i0, jlo, w, tail in _jd_blocks(n, l):
         moves = w @ r_large[jlo : jlo + w.shape[1]]
         # Each record row sums to 1 less a spill below 1e-18, so the row sums
@@ -527,15 +522,20 @@ def _move_grid(n: int, l: int, n_cap: int) -> tuple[np.ndarray, float]:
     return grid, math.fsum(booked) if booked else 0.0
 
 
-def _record_spills(n: int, l: int, rec_tails: np.ndarray) -> list[float]:
-    """The record-law mass either exact route loses, as a list to book.
+def _exact_records(n: int, l: int, n_cap: int) -> tuple[np.ndarray, list[float]]:
+    """Checks (n, l) and the cap, then gives either exact route its record
+    matrix and the record-law mass it loses, as a list to book.
 
     Each predecessor count is marginally uniform, so the spills t_m cut off
     the record matrix lose at most sum_i t_i / l + sum_j t_j / (n-l+1).
     """
+    _validate_nl(n, l)
+    if n > n_cap:
+        raise CapExceededError("exact depth computation", n, n_cap)
+    rec, rec_tails = _record_matrix(max(l - 1, n - l))
     if rec_tails[-1] == 0.0:  # tails grow with m; none are cut for small m
-        return []
-    return [float(rec_tails[:l].sum()) / l, float(rec_tails[: n - l + 1].sum()) / (n - l + 1)]
+        return rec, []
+    return rec, [float(rec_tails[:l].sum()) / l, float(rec_tails[: n - l + 1].sum()) / (n - l + 1)]
 
 
 def _depth_pmf_by_arrival(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> tuple[Pmf, float]:
@@ -555,11 +555,7 @@ def _depth_pmf_by_arrival(n: int, l: int, n_cap: int = DEFAULT_N_CAP) -> tuple[P
     does, and the binomial mass cut at each node, integrated by the rule.
     The cap is that of exact_depth_pmf.
     """
-    _validate_nl(n, l)
-    if n > n_cap:
-        raise CapExceededError("exact depth computation", n, n_cap)
-    rec, rec_tails = _record_matrix(max(l - 1, n - l))
-    spills = _record_spills(n, l, rec_tails)
+    rec, spills = _exact_records(n, l, n_cap)
     fine, coarse = (_arrival_rule(n, l, q, rec, spills)
                     for q in (2 * _ARRIVAL_NODES, _ARRIVAL_NODES))
     return fine, float(total_variation(fine, coarse))

@@ -11,8 +11,9 @@ Each stream's quota is drawn in numpy chunks of about _CHUNK_CELLS array
 cells, a few MiB at any n: _CHUNK_CELLS // n rows of arrival keys on bst and
 find, _CHUNK_CELLS // 16 draws on representation and key; single-sample
 functions draw a chunk of one.  A row gives each value 1..n an i.i.d.
-uniform 64-bit arrival key; bst reads the keys directly, and find reads
-window minima of them with each value's index in their low bits.  A stream,
+uniform 64-bit arrival key, _arrival_keys, in the one format both keyed
+kernels take: bst reads the keys as drawn, and find writes each value's
+index into their low bits itself and reads window minima.  A stream,
 identified by (seed, stream_id), always replays the same draws, so
 collect_samples is a pure function of (route, n, l, count, seed, streams);
 a parallel run gives each worker one stream and reduces in stream order.
@@ -98,30 +99,6 @@ def _index_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _index_keys(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """Arrival keys with each value's index v - 1 in their low b = _index_bits(n) bits.
-
-    A row departs from the exact law only if two of its keys tie in their high
-    64 - b bits (the lower value then arrives first): probability at most
-    C(n, 2) / 2**(64 - b), 2.8e-11 at n = 1000 and 9.5e-7 at DEFAULT_N_CAP.
-    """
-    keys = _arrival_keys(n, rows, gen)
-    keys &= np.uint64(2**64 - (1 << _index_bits(n)))
-    keys |= np.arange(n, dtype=np.uint64)
-    return keys
-
-
-def _time_keys(times: np.ndarray) -> np.ndarray:
-    """Index keys, in the narrowest unsigned dtype, for distinct arrival times
-    times[:, v - 1] >= 0: each time shifted up by _index_bits(n), v - 1 below."""
-    n = times.shape[1]
-    b = _index_bits(n)
-    keys = times.astype(np.min_scalar_type(int(times.max()) << b | (n - 1)))
-    keys <<= b
-    keys |= np.arange(n, dtype=keys.dtype)
-    return keys
-
-
 def _bst_depths(keys: np.ndarray, l: int) -> np.ndarray:
     """Depth of key l in the tree built in arrival-key order, by the ancestor rule.
 
@@ -148,19 +125,28 @@ def _bst_depths(keys: np.ndarray, l: int) -> np.ndarray:
 def _find_recursions(keys: np.ndarray, l: int) -> np.ndarray:
     """Quickselect recursion count at rank l for every row at once.
 
-    keys[:, v - 1] is value v's arrival key with v - 1 in its low
-    _index_bits(n) bits, in any unsigned dtype.  The sublist of values in
-    [lo, hi) keeps arrival order, so its pivot is the low bits of the least
-    key in that window of the row.  Each level reduces every live row's
-    window in one reduceat, cut at the last window's end (so that end index
-    is dropped), stops the rows whose pivot is l and moves lo or hi past the
-    pivot.  The reduceat also reads the cells between windows: once the
-    windows fill less than an eighth of that span, they are copied out.
-    Windows are taken top-down, with no running minima, so this checks the
-    bst route's ancestor rule rather than repeating it.
+    keys[:, v - 1] is value v's arrival key, in any unsigned dtype, as
+    _bst_depths reads them; its low b = _index_bits(n) bits carry no
+    information, and v - 1 is written into them here, in place.  Writing it
+    twice gives the same array, so one array serves every l.  A row departs
+    from the exact law only if two of its keys tie in their high bits (the
+    lower value then arrives first): for 64-bit keys, probability at most
+    C(n, 2) / 2**(64 - b), 2.8e-11 at n = 1000 and 9.5e-7 at DEFAULT_N_CAP.
+
+    The sublist of values in [lo, hi) keeps arrival order, so its pivot is
+    the low bits of the least key in that window of the row.  Each level
+    reduces every live row's window in one reduceat, cut at the last
+    window's end (so that end index is dropped), stops the rows whose pivot
+    is l and moves lo or hi past the pivot.  The reduceat also reads the
+    cells between windows: once the windows fill less than an eighth of
+    that span, they are copied out.  Windows are taken top-down, with no
+    running minima, so this checks the bst route's ancestor rule rather
+    than repeating it.
     """
     rows, n = keys.shape
     mask = keys.dtype.type((1 << _index_bits(n)) - 1)
+    keys &= ~mask
+    keys |= np.arange(n, dtype=keys.dtype)
     flat = keys.reshape(-1)
     out = np.empty(rows, dtype=np.int64)
     todo = np.arange(rows)
@@ -219,7 +205,10 @@ def _representation_depths(n: int, keys: np.ndarray, gen: np.random.Generator) -
 
 
 def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generator) -> list[int]:
-    """count samples on the named route from one generator, chunk by chunk."""
+    """count samples on the named route from one generator, chunk by chunk.
+
+    bst and find pass each chunk of _arrival_keys to their kernel as drawn.
+    """
     if route not in ("bst", "representation", "find", "key"):
         raise ValueError(f"unknown route {route!r}")
     _validate_nl(n, 1 if route == "key" else l)
@@ -228,10 +217,9 @@ def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generato
     out: list[int] = []
     for start in range(0, count, chunk):
         rows = min(chunk, count - start)
-        if route == "bst":
-            batch = _bst_depths(_arrival_keys(n, rows, gen), l)
-        elif route == "find":
-            batch = _find_recursions(_index_keys(n, rows, gen), l)
+        if route in ("bst", "find"):
+            kernel = _bst_depths if route == "bst" else _find_recursions
+            batch = kernel(_arrival_keys(n, rows, gen), l)
         else:
             keys = np.full(rows, l) if route == "representation" else gen.integers(1, n + 1, rows)
             batch = _representation_depths(n, keys, gen)

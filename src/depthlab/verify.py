@@ -43,7 +43,7 @@ from .exact_depth import (
     poisson_bound_report,
 )
 from .mixing import _measure_rows, _measure_wasserstein_rows
-from .montecarlo import _find_recursions, _time_keys
+from .montecarlo import _find_recursions, _index_bits
 from .trees import _permutation_array
 
 __all__ = ["SUITES", "Table", "run_suite", "suite_table"]
@@ -312,8 +312,10 @@ def _metrics(sw: _Sweep) -> Columns:
 def _find(sw: _Sweep) -> Columns:
     checks = []
     for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
-        # Row r gives value v arrival time r[v - 1]; the rows are closed under inversion.
-        keys = _time_keys(_permutation_array(n))
+        # Row r gives value v arrival time r[v - 1], shifted above the index
+        # bits the kernel writes (uint8 holds them at n <= 7); the rows are
+        # closed under inversion.
+        keys = _permutation_array(n).astype(np.uint8) << _index_bits(n)
         for l in range(1, n + 1):
             # counts[r]: arrival orders on which quickselect for l recurses r times.
             counts = np.bincount(_find_recursions(keys, l), minlength=n)

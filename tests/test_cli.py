@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import depthlab
-from depthlab import cli, exact_depth, verify
+from depthlab import cli, distributions, exact_depth, verify
 from depthlab.cli import run
 
 
@@ -158,6 +159,22 @@ def test_approx_checks_n_and_t_before_the_exact_law(monkeypatch, capsys):
     code, _ = run_cli(["approx", "--n", "50", "--t", "1.5"])
     assert code == 2
     assert "t must lie strictly inside (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [["--l", "5"], ["--t", "0.5"]])
+def test_approx_checks_the_cap_before_the_harmonic_tables(key, capsys):
+    # The moments' harmonic tables at n = 2^22 would take 256 MiB; the cap
+    # error comes first, with nothing on stdout.
+    distributions._harmonic_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out = run_cli(["approx", "--n", str(2**22)] + key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert "exact depth computation: n=4194304 exceeds the cap" in capsys.readouterr().err
+    assert peak < 2**20, peak
 
 
 def test_approx_requires_exactly_one_of_l_t():

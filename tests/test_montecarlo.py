@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from depthlab.distributions import Pmf, record_count_pmf, total_variation
-from depthlab.exact_depth import brute_force_depth_pmf, exact_depth_pmf
+from depthlab.exact_depth import _brute_depth_counts, brute_force_depth_pmf, exact_depth_pmf
 from depthlab.montecarlo import (
     _CHUNK_CELLS,
     EmpiricalPmf,
@@ -18,7 +18,7 @@ from depthlab.montecarlo import (
     _bst_depths,
     _draw,
     _find_recursions,
-    _index_keys,
+    _index_bits,
     _predecessor_split,
     _record_counts,
     collect_samples,
@@ -29,7 +29,7 @@ from depthlab.montecarlo import (
     sample_find_recursions,
     sample_random_key_depth,
 )
-from depthlab.trees import Permutation, _insert_keys, build_bst, find_select, node_depth
+from depthlab.trees import Permutation, _insert_keys, _permutation_array, build_bst, find_select, node_depth
 
 
 def test_stream_determinism():
@@ -91,16 +91,18 @@ def test_hypergeometric_sampler_pmf_and_chi_square():
 def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
     # The bst route on a chunk of arrival keys equals a full tree build on the
     # permutation that orders the values by key (built here by argsort), and
-    # the find route on index keys equals scalar quickselect on that order.
+    # the find route equals scalar quickselect on the order of the keys it
+    # packed, read back from the array.
     for n, l in ((1, 1), (2, 1), (2, 2), (7, 1), (7, 4), (7, 7), (60, 1), (60, 23), (60, 60)):
         keys = _arrival_keys(n, 300, RngStream(seed=100 * n + l).generator)
         rows = [Permutation.from_iterable(row) for row in np.argsort(keys, axis=1) + 1]
         depths = [node_depth(build_bst(p), l) for p in rows]
         assert _bst_depths(keys, l).tolist() == depths, (n, l)
-        keys = _index_keys(n, 300, RngStream(seed=100 * n + l).generator)
+        keys = _arrival_keys(n, 300, RngStream(seed=100 * n + l).generator)
+        got = _find_recursions(keys, l).tolist()
         perms = np.argsort(keys, axis=1) + 1
         recursions = [find_select(Permutation.from_iterable(row), l).recursions for row in perms]
-        assert _find_recursions(keys, l).tolist() == recursions, (n, l)
+        assert got == recursions, (n, l)
     # On every row of a full chunk, the bst route equals the depth that the
     # literal insertion loop gives, at both extreme keys and at n = 1.
     for n, l in ((1000, 1), (1000, 500), (1000, 1000), (500, 250), (7, 3), (1, 1)):
@@ -112,19 +114,44 @@ def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
     # b = bit_length(n - 1); a chunk at the wide edge is 3 or 4 rows.
     edges = [(n, l) for n in (256, 257, 65536, 65537) for l in (1, n)]
     for n, l in [(1000, 1), (1000, 500), (1000, 1000)] + edges:
-        keys = _index_keys(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
+        keys = _arrival_keys(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
+        got = _find_recursions(keys, l).tolist()
         perms = np.argsort(keys, axis=1) + 1
         recursions = [find_select(Permutation(tuple(row.tolist())), l).recursions for row in perms]
-        assert _find_recursions(keys, l).tolist() == recursions, (n, l)
+        assert got == recursions, (n, l)
 
 
-def test_index_keys_order_values_uniformly_at_n4():
-    # 120000 rows at n = 4: each row holds the indices 0..3 in its low bits
-    # under the high bits of its arrival keys, all 24 orders that the keys
-    # induce appear, and their counts pass a chi-square test against the
-    # uniform law at significance 1e-3.
-    keys = _index_keys(4, 120_000, RngStream(seed=2024).generator)
-    arrivals = _arrival_keys(4, 120_000, RngStream(seed=2024).generator)
+def test_keyed_kernels_match_brute_force_over_every_arrival_order():
+    # Row r of the n! rows gives value v arrival time r[v - 1].  bst on the
+    # times as they are, and find on the times shifted above the index bits,
+    # both count every depth exactly as the enumeration oracle does.
+    for n in range(1, 8):
+        times = _permutation_array(n)
+        keys = times.astype(np.uint8) << _index_bits(n)
+        for l in range(1, n + 1):
+            expected = list(_brute_depth_counts(n)[l - 1])
+            assert np.bincount(_bst_depths(times.copy(), l), minlength=n).tolist() == expected, (n, l)
+            assert np.bincount(_find_recursions(keys, l), minlength=n).tolist() == expected, (n, l)
+
+
+def test_find_kernel_packs_keys_once_for_every_call():
+    # Packing writes the same bits again: a second call on the array the
+    # first call packed gives the same recursions and leaves the same keys.
+    keys = _arrival_keys(1000, 40, RngStream(seed=29).generator)
+    first = _find_recursions(keys, 500)
+    packed = keys.copy()
+    assert np.array_equal(_find_recursions(keys, 500), first)
+    assert np.array_equal(keys, packed)
+
+
+def test_find_kernel_orders_values_uniformly_at_n4():
+    # 120000 rows at n = 4: after the kernel runs, each row holds the indices
+    # 0..3 in its low bits under the high bits of its arrival keys, all 24
+    # orders that the packed keys induce appear, and their counts pass a
+    # chi-square test against the uniform law at significance 1e-3.
+    keys = _arrival_keys(4, 120_000, RngStream(seed=2024).generator)
+    arrivals = keys.copy()
+    _find_recursions(keys, 1)
     assert np.array_equal(keys & np.uint64(3), np.tile(np.arange(4, dtype=np.uint64), (120_000, 1)))
     assert np.array_equal(keys >> np.uint64(2), arrivals >> np.uint64(2))
     codes = np.argsort(keys, axis=1) @ (4 ** np.arange(4))
@@ -149,10 +176,10 @@ def test_find_kernel_takes_the_lower_value_on_a_tie():
             out[:, [1, 4]] = [[5, 3], [3, 5]]
             return out
 
-    keys = _index_keys(n, 2, TiedDraws(RngStream(seed=5).generator))
+    keys = _arrival_keys(n, 2, TiedDraws(RngStream(seed=5).generator))
+    assert _find_recursions(keys, 2).tolist() == [0, 0]
     assert keys[:, [1, 4]].tolist() == [[1, 4], [1, 4]]
     assert (keys >> np.uint64(b)).min(axis=1).tolist() == [0, 0]
-    assert _find_recursions(keys, 2).tolist() == [0, 0]
     assert _find_recursions(keys, 5).tolist() == [1, 1]
     # Every key agrees with scalar quickselect on the order that puts the
     # lower value first among tied keys.
@@ -164,11 +191,11 @@ def test_find_kernel_takes_the_lower_value_on_a_tie():
 
 def test_find_kernel_peak_memory_on_full_chunk():
     # The window-minimum kernel at n = 1000, l = 500 on one full chunk of
-    # index keys (262 rows) peaks at no more than the mask-compacting kernel
+    # arrival keys (262 rows) peaks at no more than the mask-compacting kernel
     # that came before the sorted-row one: 2_116_143 bytes under tracemalloc
     # with numpy 2.4.6 (about 0.69e6 now, nearly all of it the windows
     # copied out).  Guards peak RSS of the find route.
-    keys = _index_keys(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
+    keys = _arrival_keys(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
     tracemalloc.start()
     try:
         _find_recursions(keys, 500)
