@@ -8,18 +8,19 @@ which the test suite exploits for cross-validation against the exact law; no
 route reads it.
 
 Each stream's quota is drawn in numpy chunks of about _CHUNK_CELLS array
-cells, a few MiB at any n: _CHUNK_CELLS // n rows of arrival keys on bst and
-find, _CHUNK_CELLS // 16 draws on representation and key; single-sample
-functions draw a chunk of one.  A row gives each value 1..n an i.i.d.
-uniform 64-bit arrival key, _arrival_keys, in the one format both keyed
-kernels take: bst reads the keys as drawn, and find writes each value's
-index into their low bits itself and reads window minima.  A stream,
-identified by (seed, stream_id), always replays the same draws, so
-collect_samples is a pure function of (route, n, l, count, seed, streams);
-a parallel run gives each worker one stream and reduces in stream order.
-find's generator is keyed apart from the other routes' (see
-RngStream.route_generator), so it never reads the keys bst reads on the
-same stream, in collect_samples or in a single-sample call.
+cells, a few MiB at any n: _CHUNK_CELLS // n rows of arrival keys on bst,
+_CHUNK_CELLS // 16 draws on find, representation and key; single-sample
+functions draw a chunk of one.  A bst row gives each value 1..n an i.i.d.
+uniform 64-bit arrival key, _arrival_keys, and reads every one of them.
+find draws only the part of the arrival order that quickselect reads, one
+uniform pivot per level (_find_pivots), O(log n) per sample; the keyed
+quickselect kernel, _find_recursions, takes the keys bst takes and serves
+verify's enumeration of every arrival order.  A stream, identified by
+(seed, stream_id), always replays the same draws, so collect_samples is a
+pure function of (route, n, l, count, seed, streams); a parallel run gives
+each worker one stream and reduces in stream order.  find's generator is
+keyed apart from the other routes' (see RngStream.route_generator), in
+collect_samples and in a single-sample call.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class RngStream:
     def route_generator(self, route: str) -> np.random.Generator:
         """The stream's generator for the named route, built at its first use.
 
-        find reads the very arrival keys that bst reads, so on one stream the
-        two routes would give equal samples: find's generator takes one more
-        spawn-key word, (stream_id, 1), and the other routes share ``generator``.
+        find's generator takes one more spawn-key word, (stream_id, 1), and
+        the other routes share ``generator``: find's pivots are then never
+        derived from the bits that bst reads as keys on the same stream.
         """
         if route != "find":
             return self.generator
@@ -174,6 +175,41 @@ def _find_recursions(keys: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
+def _find_pivots(n: int, l: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """Quickselect recursion count at rank l for rows random arrival orders of 1..n.
+
+    Draws only the pivots quickselect reads.  Every live row holds a window
+    [lo, hi) of 0-based value indices, at first [0, n); each level draws one
+    pivot per live row, gen.integers(lo, hi), stops the rows whose pivot is
+    l - 1 with the level as their count, and moves lo or hi past the pivot,
+    as _find_recursions does.  This is the law of quickselect on a uniform
+    arrival order, exactly: the pivot of a window is its first arrival, and
+    the event "every earlier pivot arrived first in its window" does not
+    change when arrival times are swapped among the values still in [lo, hi),
+    since each earlier window holds all of them and no earlier pivot.  So,
+    given the levels above, those values arrive in a uniform order, and the
+    next pivot is uniform on [lo, hi).  Generator.integers draws exactly
+    uniform integers, so no row departs from the law (the keyed kernels
+    depart on a tie of keys).
+    """
+    out = np.empty(rows, dtype=np.int64)
+    todo = np.arange(rows)
+    lo, hi = np.zeros(rows, dtype=np.int64), np.full(rows, n, dtype=np.int64)
+    for recursions in range(n):  # each level drops at least its pivot
+        if not todo.size:
+            break
+        pivot = gen.integers(lo, hi)
+        hit = pivot == l - 1
+        if hit.any():
+            out[todo[hit]] = recursions
+            keep = ~hit
+            todo, lo, hi, pivot = (a[keep] for a in (todo, lo, hi, pivot))
+        lower = pivot > l - 1
+        hi = np.where(lower, pivot, hi)
+        lo = np.where(lower, lo, pivot + 1)
+    return out
+
+
 def _record_counts(m: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """One record count, sum_{i=1..m} Bernoulli(1/i), per entry of m.
 
@@ -207,19 +243,21 @@ def _representation_depths(n: int, keys: np.ndarray, gen: np.random.Generator) -
 def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generator) -> list[int]:
     """count samples on the named route from one generator, chunk by chunk.
 
-    bst and find pass each chunk of _arrival_keys to their kernel as drawn.
+    bst passes each chunk of _arrival_keys to its kernel as drawn; find runs
+    the pivot chain, which draws its own pivots.
     """
     if route not in ("bst", "representation", "find", "key"):
         raise ValueError(f"unknown route {route!r}")
     _validate_nl(n, 1 if route == "key" else l)
-    # A key row holds n cells, a representation draw's arrays about 16.
-    chunk = max(1, _CHUNK_CELLS // (n if route in ("bst", "find") else 16))
+    # A key row holds n cells; a pivot chain's or a representation draw's arrays about 16.
+    chunk = max(1, _CHUNK_CELLS // (n if route == "bst" else 16))
     out: list[int] = []
     for start in range(0, count, chunk):
         rows = min(chunk, count - start)
-        if route in ("bst", "find"):
-            kernel = _bst_depths if route == "bst" else _find_recursions
-            batch = kernel(_arrival_keys(n, rows, gen), l)
+        if route == "bst":
+            batch = _bst_depths(_arrival_keys(n, rows, gen), l)
+        elif route == "find":
+            batch = _find_pivots(n, l, rows, gen)
         else:
             keys = np.full(rows, l) if route == "representation" else gen.integers(1, n + 1, rows)
             batch = _representation_depths(n, keys, gen)

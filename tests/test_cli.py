@@ -476,8 +476,8 @@ def test_simulate_raw_samples():
 
 
 def test_simulate_bst_and_find_draw_apart_on_one_seed():
-    # find reads the arrival keys that bst reads: on a shared stream the two
-    # routes would print the same samples.
+    # find draws from its own generator of each stream, so its pivots are
+    # never derived from the bits that bst reads as keys on the same seed.
     argv = ["simulate", "--n", "200", "--l", "77", "--samples", "5000", "--seed", "4", "--raw"]
     outs = {route: run_cli(argv + ["--route", route]) for route in ("bst", "find")}
     assert outs["bst"][0] == outs["find"][0] == 0

@@ -9,7 +9,14 @@ import pytest
 from scipy import stats
 
 from depthlab.distributions import Pmf, record_count_pmf, total_variation
-from depthlab.exact_depth import _brute_depth_counts, brute_force_depth_pmf, exact_depth_pmf
+from depthlab.exact_depth import (
+    DEFAULT_N_CAP,
+    _brute_depth_counts,
+    brute_force_depth_pmf,
+    depth_mean,
+    depth_variance,
+    exact_depth_pmf,
+)
 from depthlab.montecarlo import (
     _CHUNK_CELLS,
     EmpiricalPmf,
@@ -17,6 +24,7 @@ from depthlab.montecarlo import (
     _arrival_keys,
     _bst_depths,
     _draw,
+    _find_pivots,
     _find_recursions,
     _index_bits,
     _predecessor_split,
@@ -134,6 +142,49 @@ def test_keyed_kernels_match_brute_force_over_every_arrival_order():
             assert np.bincount(_find_recursions(keys, l), minlength=n).tolist() == expected, (n, l)
 
 
+def test_pivot_chain_matches_quickselect_over_every_arrival_order():
+    # Driven by a generator whose integers(lo, hi) returns each live row's
+    # first arrival among values lo + 1..hi of a fixed arrival order, the
+    # chain runs quickselect on that order: over all n! orders and every l
+    # its counts equal the keyed kernel's row by row and the enumeration
+    # oracle's in total.
+    class FirstArrival:
+        def __init__(self, times, l):
+            self.times, self.l, self.live = times, l, np.arange(len(times))
+
+        def integers(self, lo, hi):
+            assert lo.shape == hi.shape == self.live.shape
+            values = np.arange(self.times.shape[1])
+            inside = (values >= lo[:, None]) & (values < hi[:, None])
+            pivot = np.where(inside, self.times[self.live], self.times.shape[1] + 1).argmin(axis=1)
+            self.live = self.live[pivot != self.l - 1]
+            return pivot
+
+    for n in range(1, 8):
+        times = _permutation_array(n)
+        keys = times.astype(np.uint8) << _index_bits(n)
+        for l in range(1, n + 1):
+            got = _find_pivots(n, l, len(times), FirstArrival(times, l))
+            assert np.array_equal(got, _find_recursions(keys, l)), (n, l)
+            assert np.bincount(got, minlength=n).tolist() == list(_brute_depth_counts(n)[l - 1]), (n, l)
+
+
+def test_find_route_at_the_cap_draws_in_little_memory():
+    # 10^4 samples at the cap draw only their pivots, a few arrays of one
+    # chunk's live rows: the keyed route peaked at 2.9e6 bytes here.  The
+    # sample mean lies within 4 sd / sqrt(count) of the exact mean.
+    n, l, count = DEFAULT_N_CAP, DEFAULT_N_CAP // 2, 10_000
+    mean, sd = depth_mean(n, l), math.sqrt(depth_variance(n, l))
+    tracemalloc.start()
+    try:
+        samples = collect_samples("find", n, l, count, seed=3030)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
+    assert abs(np.mean(samples) - mean) < 4 * sd / math.sqrt(count)
+
+
 def test_find_kernel_packs_keys_once_for_every_call():
     # Packing writes the same bits again: a second call on the array the
     # first call packed gives the same recursions and leaves the same keys.
@@ -194,7 +245,8 @@ def test_find_kernel_peak_memory_on_full_chunk():
     # arrival keys (262 rows) peaks at no more than the mask-compacting kernel
     # that came before the sorted-row one: 2_116_143 bytes under tracemalloc
     # with numpy 2.4.6 (about 0.69e6 now, nearly all of it the windows
-    # copied out).  Guards peak RSS of the find route.
+    # copied out).  Guards the keyed kernel that verify's find suite runs; the
+    # find route draws pivots instead (test_find_route_at_the_cap_draws_in_little_memory).
     keys = _arrival_keys(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
     tracemalloc.start()
     try:
@@ -226,7 +278,7 @@ def test_record_skip_sum_matches_record_count_law():
 def test_collect_samples_deterministic_across_chunk_boundaries():
     n, l = 1024, 300
     for route in ("bst", "find", "representation", "key"):
-        chunk = _CHUNK_CELLS // (n if route in ("bst", "find") else 16)
+        chunk = _CHUNK_CELLS // (n if route == "bst" else 16)
         cases = [(chunk - 1, 1), (chunk, 1), (chunk + 1, 1), (2 * chunk + 1, 2), (2 * chunk + 1, 3)]
         for count, streams in cases:
             a = collect_samples(route, n, l, count, seed=21, streams=streams)
@@ -348,8 +400,8 @@ def test_collect_samples_gives_each_stream_its_own_id():
 
 
 def test_single_sample_bst_and_find_draw_apart():
-    # find reads the arrival keys that bst reads: on one generator the two
-    # routes would return the same depths call for call.
+    # find draws from its own generator of the stream, so its pivots are
+    # never derived from the bits that bst reads as keys.
     def draws(sample):
         rng = RngStream(4)
         return [sample(200, 77, rng) for _ in range(50)]
@@ -363,9 +415,8 @@ def test_route_agreement_full_fidelity():
     # Pairwise d_TV between the three routes' empirical laws at 1e5 samples
     # each stays under 0.015 and each route stays within 0.01 of the exact
     # law.  The (100, 37) point runs in the acceptance suite; this covers the
-    # extreme-key and larger-n points.  Most of its time is the bst and find
-    # routes at n = 500; find, which reads window minima of its arrival keys
-    # level by level, takes about 1.3 times as long as bst.
+    # extreme-key and larger-n points.  Most of its time is the bst route at
+    # n = 500, Theta(n) per sample; find draws only its pivots, O(log n).
     for n, l in ((50, 1), (500, 250)):
         exact = exact_depth_pmf(n, l)
         emps = {
