@@ -13,20 +13,19 @@ _CHUNK_CELLS // 16 draws on find, representation and key; single-sample
 functions draw a chunk of one.  A bst row gives each value 1..n an i.i.d.
 uniform 64-bit arrival key, _arrival_keys, and reads every one of them.
 find draws only the part of the arrival order that quickselect reads, one
-uniform pivot per level (_find_pivots), O(log n) per sample; the keyed
-quickselect kernel, _find_recursions, takes the keys bst takes and serves
-verify's enumeration of every arrival order.  A stream, identified by
-(seed, stream_id), always replays the same draws, so collect_samples is a
-pure function of (route, n, l, count, seed, streams); a parallel run gives
-each worker one stream and reduces in stream order.  find's generator is
-keyed apart from the other routes' (see RngStream.route_generator), in
-collect_samples and in a single-sample call.
+uniform pivot per level (_find_pivots), O(log n) per sample; verify's find
+suite runs the same chain on every fixed arrival order.  A stream,
+identified by (seed, stream_id), always replays the same draws, so
+collect_samples is a pure function of (route, n, l, count, seed, streams);
+a parallel run gives each worker one stream and reduces in stream order.
+find's generator is keyed apart from the other routes' (see
+RngStream.route_generator), in collect_samples and in a single-sample call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; loaded here, the cost falls in import, not in a draw
@@ -95,11 +94,6 @@ def _arrival_keys(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
     return gen.integers(0, 2**64 - 1, size=(rows, n), dtype=np.uint64, endpoint=True)
 
 
-def _index_bits(n: int) -> int:
-    """b = max(1, bit_length(n - 1)): the low key bits that hold an index 0..n - 1."""
-    return max(1, (n - 1).bit_length())
-
-
 def _bst_depths(keys: np.ndarray, l: int) -> np.ndarray:
     """Depth of key l in the tree built in arrival-key order, by the ancestor rule.
 
@@ -123,74 +117,25 @@ def _bst_depths(keys: np.ndarray, l: int) -> np.ndarray:
     return depths
 
 
-def _find_recursions(keys: np.ndarray, l: int) -> np.ndarray:
-    """Quickselect recursion count at rank l for every row at once.
+def _find_pivots(n: int, l: int, rows: int,
+                 pivots: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Quickselect recursion count at rank l for rows arrival orders of 1..n.
 
-    keys[:, v - 1] is value v's arrival key, in any unsigned dtype, as
-    _bst_depths reads them; its low b = _index_bits(n) bits carry no
-    information, and v - 1 is written into them here, in place.  Writing it
-    twice gives the same array, so one array serves every l.  A row departs
-    from the exact law only if two of its keys tie in their high bits (the
-    lower value then arrives first): for 64-bit keys, probability at most
-    C(n, 2) / 2**(64 - b), 2.8e-11 at n = 1000 and 9.5e-7 at DEFAULT_N_CAP.
+    Every live row holds a window [lo, hi) of 0-based value indices, at
+    first [0, n); each level takes one pivot per live row from
+    pivots(lo, hi), stops the rows whose pivot is l - 1 with the level as
+    their count, and moves lo or hi past the pivot.  A window's pivot is its
+    first arrival, so a source that returns it for a fixed arrival order per
+    row runs quickselect on those orders (verify's find suite).
 
-    The sublist of values in [lo, hi) keeps arrival order, so its pivot is
-    the low bits of the least key in that window of the row.  Each level
-    reduces every live row's window in one reduceat, cut at the last
-    window's end (so that end index is dropped), stops the rows whose pivot
-    is l and moves lo or hi past the pivot.  The reduceat also reads the
-    cells between windows: once the windows fill less than an eighth of
-    that span, they are copied out.  Windows are taken top-down, with no
-    running minima, so this checks the bst route's ancestor rule rather
-    than repeating it.
-    """
-    rows, n = keys.shape
-    mask = keys.dtype.type((1 << _index_bits(n)) - 1)
-    keys &= ~mask
-    keys |= np.arange(n, dtype=keys.dtype)
-    flat = keys.reshape(-1)
-    out = np.empty(rows, dtype=np.int64)
-    todo = np.arange(rows)
-    at = todo * n  # flat position of each live row's column 0
-    lo, hi = np.zeros(rows, dtype=np.intp), np.full(rows, n, dtype=np.intp)
-    for recursions in range(n):  # each level drops at least its pivot
-        if not todo.size:
-            break
-        width = hi - lo
-        if 8 * width.sum() < at[-1] + hi[-1] - at[0] - lo[0]:
-            start = np.cumsum(width) - width
-            flat = flat[np.repeat(at + lo - start, width) + np.arange(start[-1] + width[-1])]
-            at = start - lo
-        window = np.empty(2 * todo.size, dtype=np.intp)
-        window[0::2], window[1::2] = at + lo, at + hi
-        pivot = (np.minimum.reduceat(flat[: window[-1]], window[:-1])[::2] & mask).astype(np.intp)
-        hit = pivot == l - 1
-        if hit.any():
-            out[todo[hit]] = recursions
-            keep = ~hit
-            todo, at, lo, hi, pivot = (a[keep] for a in (todo, at, lo, hi, pivot))
-        lower = pivot > l - 1
-        hi = np.where(lower, pivot, hi)
-        lo = np.where(lower, lo, pivot + 1)
-    return out
-
-
-def _find_pivots(n: int, l: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """Quickselect recursion count at rank l for rows random arrival orders of 1..n.
-
-    Draws only the pivots quickselect reads.  Every live row holds a window
-    [lo, hi) of 0-based value indices, at first [0, n); each level draws one
-    pivot per live row, gen.integers(lo, hi), stops the rows whose pivot is
-    l - 1 with the level as their count, and moves lo or hi past the pivot,
-    as _find_recursions does.  This is the law of quickselect on a uniform
-    arrival order, exactly: the pivot of a window is its first arrival, and
-    the event "every earlier pivot arrived first in its window" does not
-    change when arrival times are swapped among the values still in [lo, hi),
-    since each earlier window holds all of them and no earlier pivot.  So,
-    given the levels above, those values arrive in a uniform order, and the
-    next pivot is uniform on [lo, hi).  Generator.integers draws exactly
-    uniform integers, so no row departs from the law (the keyed kernels
-    depart on a tie of keys).
+    _draw passes Generator.integers, which draws exactly uniform integers;
+    this is the law of quickselect on a uniform arrival order, exactly.  The
+    event "every earlier pivot arrived first in its window" does not change
+    when arrival times are swapped among the values still in [lo, hi), since
+    each earlier window holds all of them and no earlier pivot.  So, given
+    the levels above, those values arrive in a uniform order, and the next
+    pivot is uniform on [lo, hi).  Only the pivots quickselect reads are
+    drawn, and no row departs from the law: there are no keys to tie.
     """
     out = np.empty(rows, dtype=np.int64)
     todo = np.arange(rows)
@@ -198,7 +143,7 @@ def _find_pivots(n: int, l: int, rows: int, gen: np.random.Generator) -> np.ndar
     for recursions in range(n):  # each level drops at least its pivot
         if not todo.size:
             break
-        pivot = gen.integers(lo, hi)
+        pivot = pivots(lo, hi)
         hit = pivot == l - 1
         if hit.any():
             out[todo[hit]] = recursions
@@ -257,7 +202,7 @@ def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generato
         if route == "bst":
             batch = _bst_depths(_arrival_keys(n, rows, gen), l)
         elif route == "find":
-            batch = _find_pivots(n, l, rows, gen)
+            batch = _find_pivots(n, l, rows, gen.integers)
         else:
             keys = np.full(rows, l) if route == "representation" else gen.integers(1, n + 1, rows)
             batch = _representation_depths(n, keys, gen)

@@ -43,7 +43,7 @@ from .exact_depth import (
     poisson_bound_report,
 )
 from .mixing import _measure_rows, _measure_wasserstein_rows
-from .montecarlo import _find_recursions, _index_bits
+from .montecarlo import _find_pivots
 from .trees import _permutation_array
 
 __all__ = ["SUITES", "Table", "run_suite", "suite_table"]
@@ -53,7 +53,7 @@ THEOREM6_GRID = (64, 256, 1024, 4096, 16384)
 # Theorem 6 has no explicit constant: the scaled d_W may grow 10% past its first value.
 THEOREM6_GROWTH = 1.10
 DEFAULT_TRIALS = 1000
-FIND_ENUMERATION_CAP = 7  # find runs the quickselect kernel for each key over all n! permutations
+FIND_ENUMERATION_CAP = 7  # find runs the pivot chain for each key over all n! arrival orders
 # lemma5 evaluates Theta(N^3) cells at one N, and Theta(N^4) over every N up to
 # it.  At this cap, on 2 vCPU, --n takes 0.04 s and --n-max (every N up to the
 # cap) 1.4 s at a 160 MiB peak.
@@ -309,16 +309,37 @@ def _metrics(sw: _Sweep) -> Columns:
     return params, lhs, rhs, lhs <= rhs
 
 
+def _first_arrivals(times: np.ndarray, l: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A pivot source for _find_pivots that runs quickselect on fixed arrival
+    orders: row r gives value v arrival time times[r, v - 1], times 1..n.
+    Each call returns, for every live row, the value index in [lo, hi) that
+    arrives first, then drops the rows whose pivot is l - 1, as the chain does.
+    The times are held one row per value, so each step runs down the rows."""
+    n = times.shape[1]
+    times, live = times.T.copy(), np.arange(len(times))
+    values = np.arange(n, dtype=times.dtype)[:, None]
+
+    def pivots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        nonlocal live
+        window = times.take(live, axis=1)
+        # Cells outside [lo, hi) gain n + 1, which puts them past every arrival time.
+        window += ((values < lo) | (values >= hi)) * times.dtype.type(n + 1)
+        pivot = ((window == window.min(axis=0)) * values).max(axis=0).astype(np.intp)
+        live = live[pivot != l - 1]
+        return pivot
+
+    return pivots
+
+
 def _find(sw: _Sweep) -> Columns:
     checks = []
     for n in sw.sizes(FIND_ENUMERATION_CAP, cap=FIND_ENUMERATION_CAP):
-        # Row r gives value v arrival time r[v - 1], shifted above the index
-        # bits the kernel writes (uint8 holds them at n <= 7); the rows are
-        # closed under inversion.
-        keys = _permutation_array(n).astype(np.uint8) << _index_bits(n)
+        # Row r gives value v arrival time r[v - 1]; the rows are closed
+        # under inversion, so they are every arrival order once.
+        times = _permutation_array(n)
         for l in range(1, n + 1):
             # counts[r]: arrival orders on which quickselect for l recurses r times.
-            counts = np.bincount(_find_recursions(keys, l), minlength=n)
+            counts = np.bincount(_find_pivots(n, l, len(times), _first_arrivals(times, l)), minlength=n)
             checks.append(({"n": n, "l": l}, (0, counts / math.factorial(n)),
                            brute_force_depth_pmf(n, l)))
     return _within(0.0, checks)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism, schema."""
 
+import hashlib
 import io
 import json
 import os
@@ -19,6 +20,7 @@ import pytest
 import depthlab
 from depthlab import cli, distributions, exact_depth, verify
 from depthlab.cli import run
+from depthlab.montecarlo import collect_samples
 
 
 def run_cli(argv):
@@ -415,6 +417,32 @@ def test_simulate_byte_identical_repeat():
     _, out1 = run_cli(argv)
     _, out2 = run_cli(argv)
     assert out1 == out2
+
+
+# sha256 of the int64 samples of collect_samples(route, 1000, 500, 2000,
+# seed=31, streams=3), key route with l=None, and of the stdout of
+# verify --suite find --format json --all-rows.
+PINNED_SHA256 = {
+    "bst": "3531e7f662dda83347a9d347b346e24e21d888163df0f77e31db6c58263fdee5",
+    "find": "d378ee63cd44326ae4eab8ae96bb4bc72b30e8725260176492fcf24c549e4b82",
+    "representation": "0caf49c2c962b20c6412743a993bd49dc24678cb460c3b93ad628fdf5362018a",
+    "key": "1e08dad2f2f764b62e222deb01474fe1cda9f5b97cd9a540e44ad3cce15c43d5",
+    "verify find": "687fb93c06930590cbba3d19cd91548691f9bc09f62f082536a92a25dedce1ce",
+}
+
+
+def test_fixed_seed_gives_pinned_samples_and_find_suite_output():
+    # A fixed command line and seed give fixed output, across versions too:
+    # a change to how a route reads its generator, or to the find suite's
+    # kernel, shows here as a changed hash.
+    got = {}
+    for route in ("bst", "find", "representation", "key"):
+        samples = collect_samples(route, 1000, None if route == "key" else 500, 2000, seed=31, streams=3)
+        got[route] = hashlib.sha256(np.asarray(samples, np.int64).tobytes()).hexdigest()
+    code, out = run_cli(["verify", "--suite", "find", "--format", "json", "--all-rows"])
+    assert code == 0
+    got["verify find"] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_SHA256
 
 
 def test_simulate_env_seed(monkeypatch):

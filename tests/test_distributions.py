@@ -508,6 +508,18 @@ def test_wasserstein_error_bound_covers_a_dropped_poisson_tail(lam):
     assert abs(float(d) - lam) <= d.error_bound
 
 
+@pytest.mark.xfail(strict=True, reason="error_bound misses the rounding of the kept masses")
+@pytest.mark.parametrize("lam", [20.0, 60.0, 150.0, 400.0])
+def test_total_variation_error_bound_covers_a_dropped_poisson_tail(lam):
+    # TV(Poisson(lam), delta_0) = 1 - exp(-lam) exactly.  The bound, half the
+    # dropped mass, does not cover the rounding of the kept masses: at
+    # lam = 150 the error is 4.00e-13 and the bound 3.67e-13.  Against a
+    # 50-digit mpmath reference each error here exceeds its bound by at
+    # least 2e-15, so the miss is not the reference's rounding.
+    d = total_variation(poisson_pmf(lam), Pmf.delta(0))
+    assert abs(float(d) + math.expm1(-lam)) <= d.error_bound
+
+
 def test_metric_axioms_on_random_pairs():
     rng = np.random.default_rng(1234)
     for _ in range(1000):

@@ -25,8 +25,6 @@ from depthlab.montecarlo import (
     _bst_depths,
     _draw,
     _find_pivots,
-    _find_recursions,
-    _index_bits,
     _predecessor_split,
     _record_counts,
     collect_samples,
@@ -38,6 +36,7 @@ from depthlab.montecarlo import (
     sample_random_key_depth,
 )
 from depthlab.trees import Permutation, _insert_keys, _permutation_array, build_bst, find_select, node_depth
+from depthlab.verify import _first_arrivals
 
 
 def test_stream_determinism():
@@ -96,83 +95,65 @@ def test_hypergeometric_sampler_pmf_and_chi_square():
             assert pvalue > 1e-3
 
 
+def _quickselect(times, l):
+    """find_select's recursion count on each row's arrival order (value v at time row[v - 1])."""
+    return [find_select(Permutation.from_iterable(np.argsort(row) + 1), l).recursions for row in times]
+
+
 def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
     # The bst route on a chunk of arrival keys equals a full tree build on the
-    # permutation that orders the values by key (built here by argsort), and
-    # the find route equals scalar quickselect on the order of the keys it
-    # packed, read back from the array.
+    # permutation that orders the values by key (built here by argsort).
     for n, l in ((1, 1), (2, 1), (2, 2), (7, 1), (7, 4), (7, 7), (60, 1), (60, 23), (60, 60)):
         keys = _arrival_keys(n, 300, RngStream(seed=100 * n + l).generator)
         rows = [Permutation.from_iterable(row) for row in np.argsort(keys, axis=1) + 1]
         depths = [node_depth(build_bst(p), l) for p in rows]
         assert _bst_depths(keys, l).tolist() == depths, (n, l)
-        keys = _arrival_keys(n, 300, RngStream(seed=100 * n + l).generator)
-        got = _find_recursions(keys, l).tolist()
-        perms = np.argsort(keys, axis=1) + 1
-        recursions = [find_select(Permutation.from_iterable(row), l).recursions for row in perms]
-        assert got == recursions, (n, l)
     # On every row of a full chunk, the bst route equals the depth that the
     # literal insertion loop gives, at both extreme keys and at n = 1.
     for n, l in ((1000, 1), (1000, 500), (1000, 1000), (500, 250), (7, 3), (1, 1)):
         keys = _arrival_keys(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
         depths = [_insert_keys(row.tolist(), stop=l)[2][l] for row in np.argsort(keys, axis=1) + 1]
         assert _bst_depths(keys, l).tolist() == depths, (n, l)
-    # The find route equals scalar quickselect on every row of a full chunk,
-    # and on both sides of the 8/9 and 16/17 edges of the packed index width
-    # b = bit_length(n - 1); a chunk at the wide edge is 3 or 4 rows.
-    edges = [(n, l) for n in (256, 257, 65536, 65537) for l in (1, n)]
-    for n, l in [(1000, 1), (1000, 500), (1000, 1000)] + edges:
-        keys = _arrival_keys(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
-        got = _find_recursions(keys, l).tolist()
-        perms = np.argsort(keys, axis=1) + 1
-        recursions = [find_select(Permutation(tuple(row.tolist())), l).recursions for row in perms]
-        assert got == recursions, (n, l)
+    # The pivot chain, driven by each row's first arrivals, equals scalar
+    # quickselect on random arrival orders (the argsort of random keys).
+    for n, l, rows in ((60, 1, 300), (60, 23, 300), (60, 60, 300), (1000, 1, 262), (1000, 500, 262),
+                       (1000, 1000, 262)):
+        times = np.argsort(_arrival_keys(n, rows, RngStream(seed=n + l).generator), axis=1) + 1
+        got = _find_pivots(n, l, rows, _first_arrivals(times, l)).tolist()
+        assert got == _quickselect(times, l), (n, l)
 
 
 def test_keyed_kernels_match_brute_force_over_every_arrival_order():
-    # Row r of the n! rows gives value v arrival time r[v - 1].  bst on the
-    # times as they are, and find on the times shifted above the index bits,
-    # both count every depth exactly as the enumeration oracle does.
+    # Row r of the n! rows gives value v arrival time r[v - 1]; bst on the
+    # times as they are counts every depth exactly as the enumeration oracle
+    # does.  The find route draws pivots, not keys, and is held to the oracle
+    # by test_pivot_chain_matches_quickselect_over_every_arrival_order.
     for n in range(1, 8):
         times = _permutation_array(n)
-        keys = times.astype(np.uint8) << _index_bits(n)
         for l in range(1, n + 1):
             expected = list(_brute_depth_counts(n)[l - 1])
             assert np.bincount(_bst_depths(times.copy(), l), minlength=n).tolist() == expected, (n, l)
-            assert np.bincount(_find_recursions(keys, l), minlength=n).tolist() == expected, (n, l)
 
 
 def test_pivot_chain_matches_quickselect_over_every_arrival_order():
-    # Driven by a generator whose integers(lo, hi) returns each live row's
+    # Driven by verify's first-arrival source, which returns each live row's
     # first arrival among values lo + 1..hi of a fixed arrival order, the
     # chain runs quickselect on that order: over all n! orders and every l
-    # its counts equal the keyed kernel's row by row and the enumeration
+    # its counts equal scalar quickselect's row by row and the enumeration
     # oracle's in total.
-    class FirstArrival:
-        def __init__(self, times, l):
-            self.times, self.l, self.live = times, l, np.arange(len(times))
-
-        def integers(self, lo, hi):
-            assert lo.shape == hi.shape == self.live.shape
-            values = np.arange(self.times.shape[1])
-            inside = (values >= lo[:, None]) & (values < hi[:, None])
-            pivot = np.where(inside, self.times[self.live], self.times.shape[1] + 1).argmin(axis=1)
-            self.live = self.live[pivot != self.l - 1]
-            return pivot
-
     for n in range(1, 8):
         times = _permutation_array(n)
-        keys = times.astype(np.uint8) << _index_bits(n)
         for l in range(1, n + 1):
-            got = _find_pivots(n, l, len(times), FirstArrival(times, l))
-            assert np.array_equal(got, _find_recursions(keys, l)), (n, l)
+            got = _find_pivots(n, l, len(times), _first_arrivals(times, l))
+            assert got.tolist() == _quickselect(times, l), (n, l)
             assert np.bincount(got, minlength=n).tolist() == list(_brute_depth_counts(n)[l - 1]), (n, l)
 
 
 def test_find_route_at_the_cap_draws_in_little_memory():
     # 10^4 samples at the cap draw only their pivots, a few arrays of one
-    # chunk's live rows: the keyed route peaked at 2.9e6 bytes here.  The
-    # sample mean lies within 4 sd / sqrt(count) of the exact mean.
+    # chunk's live rows: a route that read one 64-bit arrival key per value
+    # peaked at 2.9e6 bytes here.  The sample mean lies within
+    # 4 sd / sqrt(count) of the exact mean.
     n, l, count = DEFAULT_N_CAP, DEFAULT_N_CAP // 2, 10_000
     mean, sd = depth_mean(n, l), math.sqrt(depth_variance(n, l))
     tracemalloc.start()
@@ -183,78 +164,6 @@ def test_find_route_at_the_cap_draws_in_little_memory():
         tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
     assert abs(np.mean(samples) - mean) < 4 * sd / math.sqrt(count)
-
-
-def test_find_kernel_packs_keys_once_for_every_call():
-    # Packing writes the same bits again: a second call on the array the
-    # first call packed gives the same recursions and leaves the same keys.
-    keys = _arrival_keys(1000, 40, RngStream(seed=29).generator)
-    first = _find_recursions(keys, 500)
-    packed = keys.copy()
-    assert np.array_equal(_find_recursions(keys, 500), first)
-    assert np.array_equal(keys, packed)
-
-
-def test_find_kernel_orders_values_uniformly_at_n4():
-    # 120000 rows at n = 4: after the kernel runs, each row holds the indices
-    # 0..3 in its low bits under the high bits of its arrival keys, all 24
-    # orders that the packed keys induce appear, and their counts pass a
-    # chi-square test against the uniform law at significance 1e-3.
-    keys = _arrival_keys(4, 120_000, RngStream(seed=2024).generator)
-    arrivals = keys.copy()
-    _find_recursions(keys, 1)
-    assert np.array_equal(keys & np.uint64(3), np.tile(np.arange(4, dtype=np.uint64), (120_000, 1)))
-    assert np.array_equal(keys >> np.uint64(2), arrivals >> np.uint64(2))
-    codes = np.argsort(keys, axis=1) @ (4 ** np.arange(4))
-    counts = np.unique(codes, return_counts=True)[1]
-    assert counts.size == 24
-    assert stats.chisquare(counts).pvalue > 1e-3
-
-
-def test_find_kernel_takes_the_lower_value_on_a_tie():
-    # Row 0 gives values 2 and 5 the two least keys, equal in their high
-    # 64 - b bits: value 2 arrives first and is the first pivot, then 5 is
-    # the least key in [3, 6].  Row 1 ties values 5 and 2 the other way
-    # round, and still 2 comes first; no row is redrawn.
-    n, b = 6, 3
-
-    class TiedDraws:
-        def __init__(self, gen):
-            self.gen = gen
-
-        def integers(self, *args, **kwargs):
-            out = self.gen.integers(*args, **kwargs)
-            out[:, [1, 4]] = [[5, 3], [3, 5]]
-            return out
-
-    keys = _arrival_keys(n, 2, TiedDraws(RngStream(seed=5).generator))
-    assert _find_recursions(keys, 2).tolist() == [0, 0]
-    assert keys[:, [1, 4]].tolist() == [[1, 4], [1, 4]]
-    assert (keys >> np.uint64(b)).min(axis=1).tolist() == [0, 0]
-    assert _find_recursions(keys, 5).tolist() == [1, 1]
-    # Every key agrees with scalar quickselect on the order that puts the
-    # lower value first among tied keys.
-    for l in range(1, n + 1):
-        recursions = [find_select(Permutation.from_iterable(np.argsort(row) + 1), l).recursions
-                      for row in keys]
-        assert _find_recursions(keys, l).tolist() == recursions, l
-
-
-def test_find_kernel_peak_memory_on_full_chunk():
-    # The window-minimum kernel at n = 1000, l = 500 on one full chunk of
-    # arrival keys (262 rows) peaks at no more than the mask-compacting kernel
-    # that came before the sorted-row one: 2_116_143 bytes under tracemalloc
-    # with numpy 2.4.6 (about 0.69e6 now, nearly all of it the windows
-    # copied out).  Guards the keyed kernel that verify's find suite runs; the
-    # find route draws pivots instead (test_find_route_at_the_cap_draws_in_little_memory).
-    keys = _arrival_keys(1000, _CHUNK_CELLS // 1000, RngStream(seed=1500).generator)
-    tracemalloc.start()
-    try:
-        _find_recursions(keys, 500)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2_116_143, peak
 
 
 def test_record_skip_sum_matches_record_count_law():
