@@ -204,10 +204,10 @@ def _jd_blocks(n: int, l: int):
     without its row factor, so each row of w is in a scale of its own: the
     caller scales row k to its exact mass 1/l minus tail[k].  The columns
     are cut to the band that _jd_bands finds, and tail[k] bounds row k's
-    mass outside it.  Every block is written into one work buffer,
-    allocated once and regrown only when a band is wider than any before
-    it, so each yielded w is overwritten by the next block: a caller that
-    keeps a block copies it.
+    mass outside it.  Every block is written into the prefix of one work
+    buffer, sized once for the first block's rows and the widest band, so
+    each yielded w is overwritten by the next block: a caller that keeps a
+    block copies it.
     """
     width = n - l + 1
     jlo, jhi, tails = _jd_bands(n, l)
@@ -215,14 +215,11 @@ def _jd_blocks(n: int, l: int):
     # db[j] = log b_{j+1} - log b_j = log((n-l-j)/(j+1)), which is the same
     # table for n-l+1, reversed.
     dc, db = _log_steps(n), _log_steps(width)[::-1]
-    buffer = np.empty(0)
+    buffer = np.empty(min(_JD_BLOCK_ROWS, l) * max(hi - lo for lo, hi in zip(jlo, jhi)))
     for k, (lo, hi) in enumerate(zip(jlo, jhi)):
         i0 = k * _JD_BLOCK_ROWS
         rows = min(_JD_BLOCK_ROWS, l - i0)
-        size = rows * (hi - lo)
-        if buffer.size < size:  # doubled, so that a widening band regrows it rarely
-            buffer = np.empty(2 * size)
-        w = buffer[:size].reshape(rows, hi - lo)
+        w = buffer[: rows * (hi - lo)].reshape(rows, hi - lo)
         _jd_cells(db, dc, i0, lo, w)
         yield i0, lo, w, tails[k, :rows]
 

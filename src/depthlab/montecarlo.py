@@ -7,8 +7,8 @@ random key's depth through the representation.  They agree in distribution,
 which the test suite exploits for cross-validation against the exact law; no
 route reads it.
 
-Each stream's quota is drawn in numpy chunks of about _CHUNK_CELLS array
-cells, a few MiB at any n: _CHUNK_CELLS // n rows of arrival keys on bst,
+Each stream's quota is drawn in numpy chunks of a fixed size (_chunk_rows),
+a few MiB at any n: _KEY_CHUNK_CELLS // n rows of arrival keys on bst,
 _CHUNK_CELLS // 16 draws on find, representation and key; single-sample
 functions draw a chunk of one.  A bst row gives each value 1..n an i.i.d.
 uniform 64-bit arrival key, _arrival_keys, and reads every one of them.
@@ -47,6 +47,8 @@ __all__ = [
 
 # Array cells per chunk; fixed, so draws depend on collect_samples' arguments alone.
 _CHUNK_CELLS = 1 << 18
+# bst's chunks hold arrival keys, n to a row: 0.5 MiB of uint64 at this size.
+_KEY_CHUNK_CELLS = 1 << 16
 
 @dataclass
 class RngStream:
@@ -185,6 +187,12 @@ def _representation_depths(n: int, keys: np.ndarray, gen: np.random.Generator) -
     return records[: keys.size] + records[keys.size :]
 
 
+def _chunk_rows(route: str, n: int) -> int:
+    """Samples per chunk on the named route: a bst row holds n arrival keys,
+    and a pivot chain's or a representation draw's arrays about 16 cells."""
+    return max(1, _KEY_CHUNK_CELLS // n if route == "bst" else _CHUNK_CELLS // 16)
+
+
 def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generator) -> list[int]:
     """count samples on the named route from one generator, chunk by chunk.
 
@@ -194,8 +202,7 @@ def _draw(route: str, n: int, l: int | None, count: int, gen: np.random.Generato
     if route not in ("bst", "representation", "find", "key"):
         raise ValueError(f"unknown route {route!r}")
     _validate_nl(n, 1 if route == "key" else l)
-    # A key row holds n cells; a pivot chain's or a representation draw's arrays about 16.
-    chunk = max(1, _CHUNK_CELLS // (n if route == "bst" else 16))
+    chunk = _chunk_rows(route, n)
     out: list[int] = []
     for start in range(0, count, chunk):
         rows = min(chunk, count - start)

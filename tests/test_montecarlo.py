@@ -18,11 +18,11 @@ from depthlab.exact_depth import (
     exact_depth_pmf,
 )
 from depthlab.montecarlo import (
-    _CHUNK_CELLS,
     EmpiricalPmf,
     RngStream,
     _arrival_keys,
     _bst_depths,
+    _chunk_rows,
     _draw,
     _find_pivots,
     _predecessor_split,
@@ -111,7 +111,7 @@ def test_batch_kernels_match_tree_build_and_quickselect_pathwise():
     # On every row of a full chunk, the bst route equals the depth that the
     # literal insertion loop gives, at both extreme keys and at n = 1.
     for n, l in ((1000, 1), (1000, 500), (1000, 1000), (500, 250), (7, 3), (1, 1)):
-        keys = _arrival_keys(n, _CHUNK_CELLS // n, RngStream(seed=n + l).generator)
+        keys = _arrival_keys(n, _chunk_rows("bst", n), RngStream(seed=n + l).generator)
         depths = [_insert_keys(row.tolist(), stop=l)[2][l] for row in np.argsort(keys, axis=1) + 1]
         assert _bst_depths(keys, l).tolist() == depths, (n, l)
     # The pivot chain, driven by each row's first arrivals, equals scalar
@@ -187,7 +187,7 @@ def test_record_skip_sum_matches_record_count_law():
 def test_collect_samples_deterministic_across_chunk_boundaries():
     n, l = 1024, 300
     for route in ("bst", "find", "representation", "key"):
-        chunk = _CHUNK_CELLS // (n if route == "bst" else 16)
+        chunk = _chunk_rows(route, n)
         cases = [(chunk - 1, 1), (chunk, 1), (chunk + 1, 1), (2 * chunk + 1, 2), (2 * chunk + 1, 3)]
         for count, streams in cases:
             a = collect_samples(route, n, l, count, seed=21, streams=streams)
